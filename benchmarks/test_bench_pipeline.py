@@ -8,13 +8,14 @@ smoke sweep (several FPRaker geometries plus the baseline over two
 training-progress points) twice:
 
 * **legacy**: the pre-reuse pipeline shape -- workloads rebuilt per
-  configuration (cold Gibbs inverse each time), one tile-engine call
-  per phase (no multi-phase stacking), fresh per-config compression
-  measurements;
+  configuration (cold Gibbs inverse each time, empty tile-outcome
+  memo), one tile-engine call per phase (no multi-phase stacking),
+  fresh per-config compression measurements;
 * **optimized**: the content-addressed workload cache shares one build
   per (model, progress) across every configuration, phases stack into
   batched tile calls, and the per-workload memos (compression ratio,
-  serial-side choice) amortize across configs.
+  serial-side choice) and the process tile-outcome memo amortize
+  across configs; each run starts with that memo empty.
 
 Both runs must agree bit for bit before their times may be compared;
 the optimized pipeline must be at least 3x faster on the sweep.  The
@@ -34,6 +35,7 @@ from conftest import show
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.baseline import BaselineAccelerator
 from repro.core.config import baseline_paper_config, fpraker_paper_config
+from repro.core.tile_memo import DEFAULT_TILE_MEMO
 from repro.harness.profiling import profile_pipeline
 from repro.harness.report import Table
 from repro.traces.synthetic import gibbs_cache_clear
@@ -80,6 +82,7 @@ def _run_legacy():
     for progress in PROGRESS_POINTS:
         for config in _sweep_configs():
             gibbs_cache_clear()
+            DEFAULT_TILE_MEMO.clear()
             workloads = build_workloads(MODEL, progress=progress, cache=None)
             if config.name == "baseline":
                 result = BaselineAccelerator(config).simulate_workload(
@@ -96,6 +99,7 @@ def _run_legacy():
 def _run_optimized():
     """Shared workload build + stacked batched engine per config."""
     gibbs_cache_clear()
+    DEFAULT_TILE_MEMO.clear()
     cache = WorkloadCache()
     results = []
     for progress in PROGRESS_POINTS:

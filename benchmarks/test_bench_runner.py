@@ -8,6 +8,7 @@ identical -- the cache changes cost, never results.
 
 from conftest import run_once, show
 
+from repro.core.tile_memo import DEFAULT_TILE_MEMO
 from repro.harness import run_fig11_speedup
 from repro.harness.runner import SimulationSession
 
@@ -15,6 +16,9 @@ MODELS = ("NCF", "SNLI")
 
 
 def test_fig11_cold_session(benchmark):
+    # Cold means cold all the way down: no tile outcome survives from
+    # an earlier test in this process.
+    DEFAULT_TILE_MEMO.clear()
     session = SimulationSession()
     table = run_once(
         benchmark, run_fig11_speedup, models=MODELS, session=session
@@ -29,6 +33,7 @@ def test_fig11_cold_session(benchmark):
 
 
 def test_fig11_warm_session(benchmark):
+    DEFAULT_TILE_MEMO.clear()
     session = SimulationSession()
     cold = run_fig11_speedup(models=MODELS, session=session)
     simulations_after_cold = session.stats.simulations

@@ -14,6 +14,7 @@ from conftest import run_once, show
 
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.config import fpraker_paper_config
+from repro.core.tile_memo import DEFAULT_TILE_MEMO
 from repro.harness.experiments import run_scaleout
 from repro.scale.partition import partition_workloads
 from repro.scale.scaleout import ScaleOutSimulator
@@ -42,21 +43,22 @@ def test_symmetric_replication_amortizes(benchmark):
     plan = partition_workloads(workloads, 8, "data")
     node_sim = AcceleratorSimulator(fpraker_paper_config(), **FAST)
 
+    # Both legs simulate every node they pay for from an empty
+    # tile-outcome memo: identical shard stacks would otherwise turn
+    # the naive leg's seven later shards into memo hits, and repeated
+    # rounds into hits altogether.
     def all_nodes_naive():
         for node_plan in plan.node_plans:
+            DEFAULT_TILE_MEMO.clear()
             node_sim.simulate_workload(node_plan.workloads, model=MODEL)
 
-    sim.simulate_workload(workloads, model=MODEL)  # warm caches
-    result = benchmark.pedantic(
-        sim.simulate_workload,
-        args=(workloads,),
-        kwargs={"model": MODEL},
-        rounds=3,
-        iterations=1,
-    )
-    t_scaleout = _best_of(
-        lambda: sim.simulate_workload(workloads, model=MODEL)
-    )
+    def scaleout_cold():
+        DEFAULT_TILE_MEMO.clear()
+        return sim.simulate_workload(workloads, model=MODEL)
+
+    scaleout_cold()  # warm caches
+    result = benchmark.pedantic(scaleout_cold, rounds=3, iterations=1)
+    t_scaleout = _best_of(scaleout_cold)
     t_naive = _best_of(all_nodes_naive)
     print(
         f"\n8-node data-parallel: {t_scaleout*1e3:.1f} ms amortized vs "

@@ -4,9 +4,9 @@ The simulator consumes :class:`repro.core.workload.PhaseWorkload` items
 (one per layer and training phase), picks the serial side, simulates the
 tile schedule over sampled operand strips -- drawn in one vectorized
 call and simulated in one batched :meth:`TileSimulator.simulate_strips`
-pass -- and scales the measured cycles-per-group to the phase's exact
-MAC count.  Off-chip traffic is
-checked against the LPDDR4 roofline (with exponent base-delta
+pass, reused across requests that draw identical stacks -- and scales
+the measured cycles-per-group to the phase's exact MAC count.  Off-chip
+traffic is checked against the LPDDR4 roofline (with exponent base-delta
 compression when enabled), and activity counters feed the energy model.
 """
 
@@ -22,6 +22,11 @@ from repro.compression.base_delta import mean_compression_ratio
 from repro.core.config import AcceleratorConfig, TileConfig, fpraker_paper_config
 from repro.core.stats import SimCounters
 from repro.core.tile import TileSimulator
+from repro.core.tile_memo import (
+    DEFAULT_TILE_MEMO,
+    TileOutcome,
+    tile_outcome_key,
+)
 from repro.core.workload import PhaseWorkload
 from repro.encoding.booth import term_count
 from repro.energy.model import EnergyBreakdown, EnergyModel
@@ -356,7 +361,10 @@ class AcceleratorSimulator:
             :meth:`TileSimulator.simulate_strips` pass; ``"serial"``
             runs the per-strip reference loop.  Both consume the same
             operand draw and produce bit-identical results (cross-checked
-            in the test suite).
+            in the test suite).  The batched engine reuses the outcome
+            of any operand stack the process has already simulated
+            (:mod:`repro.core.tile_memo`); the serial reference always
+            recomputes.
         phase_stacking: when the batched engine is active,
             :meth:`simulate_workload` concatenates the strip stacks of
             every phase sharing a tile geometry and step count into one
@@ -504,11 +512,13 @@ class AcceleratorSimulator:
             The scaled :class:`LayerPhaseResult`.
         """
         prep = self._prepare_phase(workload)
-        simulator = TileSimulator(
-            prep.tile_cfg, kernel_backend=self.kernel_backend
-        )
         if self.strip_engine == "serial":
-            # Reference path: one strip at a time, identical operands.
+            # Reference path: one strip at a time, identical operands,
+            # never memoized (it is the oracle the memo is checked
+            # against).
+            simulator = TileSimulator(
+                prep.tile_cfg, kernel_backend=self.kernel_backend
+            )
             sampled = SimCounters()
             total_steps = 0
             total_makespan = 0
@@ -522,12 +532,9 @@ class AcceleratorSimulator:
                 total_steps += result.steps
                 total_makespan += result.makespan
         else:
-            batch = simulator.simulate_strips(
-                prep.a_stack, prep.b_stack, prep.initial_sums
+            ((sampled, total_steps, total_makespan),) = self._tile_outcomes(
+                [prep]
             )
-            sampled = batch.counters_total()
-            total_steps = batch.steps * batch.strips
-            total_makespan = batch.makespan
         return self._finish_phase(prep, sampled, total_steps, total_makespan)
 
     def _finish_phase(
@@ -596,7 +603,9 @@ class AcceleratorSimulator:
         Under the batched engine with ``phase_stacking`` (the default),
         phases sharing a tile geometry and step count run as one
         multi-phase strip stack -- bit-identical to simulating each
-        phase alone, since strips are independent.
+        phase alone, since strips are independent -- and phases whose
+        operand stacks were already simulated in this process skip the
+        tile engine.
 
         Args:
             workloads: layer-phases of one model's training step.
@@ -617,13 +626,39 @@ class AcceleratorSimulator:
                 result.phases.append(self.simulate_phase(workload))
             return result
         preps = [self._prepare_phase(workload) for workload in workloads]
-        # Group phase indices by (tile geometry, steps): stacks must
-        # agree on every strip dimension.  TileConfig is frozen, hence
-        # hashable.
+        result.phases = [
+            self._finish_phase(prep, *outcome)
+            for prep, outcome in zip(preps, self._tile_outcomes(preps))
+        ]
+        return result
+
+    def _tile_outcomes(self, preps: list[_PhasePrep]) -> list[TileOutcome]:
+        """``(sampled, total_steps, total_makespan)`` of every phase.
+
+        Phases whose operand stacks the process has already simulated
+        are answered from :data:`repro.core.tile_memo.DEFAULT_TILE_MEMO`
+        (the memory side never enters the tile engine, so e.g. the
+        "zero" and "zero+bdc" configurations share one outcome).  The
+        distinct misses run batched: those sharing a tile geometry and
+        step count stack into multi-phase ``simulate_strips`` calls.
+        """
+        keys = [
+            tile_outcome_key(
+                prep.tile_cfg, prep.a_stack, prep.b_stack, prep.initial_sums
+            )
+            for prep in preps
+        ]
+        outcomes = [DEFAULT_TILE_MEMO.get(key) for key in keys]
+        # First phase index of each distinct missing key, grouped by
+        # (tile geometry, steps): stacks must agree on every strip
+        # dimension.  TileConfig is frozen, hence hashable.
+        first_miss: dict[tuple, int] = {}
         groups: dict[tuple, list[int]] = {}
-        for index, prep in enumerate(preps):
-            groups.setdefault((prep.tile_cfg, prep.steps), []).append(index)
-        phases: list[LayerPhaseResult | None] = [None] * len(preps)
+        for index, (prep, key) in enumerate(zip(preps, keys)):
+            if outcomes[index] is None and key not in first_miss:
+                first_miss[key] = index
+                group = (prep.tile_cfg, prep.steps)
+                groups.setdefault(group, []).append(index)
         for (tile_cfg, _), indices in groups.items():
             simulator = TileSimulator(
                 tile_cfg, kernel_backend=self.kernel_backend
@@ -633,29 +668,29 @@ class AcceleratorSimulator:
             )
             for start in range(0, len(indices), per_call):
                 chunk = indices[start : start + per_call]
-                for index, prep, sampled, steps, makespan in self._run_stack(
-                    simulator, [(i, preps[i]) for i in chunk]
-                ):
-                    phases[index] = self._finish_phase(
-                        prep, sampled, steps, makespan
-                    )
-        result.phases = phases
-        return result
+                stacked = self._run_stack(simulator, [preps[i] for i in chunk])
+                for index, outcome in zip(chunk, stacked):
+                    outcomes[index] = outcome
+                    DEFAULT_TILE_MEMO.put(keys[index], outcome)
+        return [
+            outcome if outcome is not None else outcomes[first_miss[key]]
+            for outcome, key in zip(outcomes, keys)
+        ]
 
     def _run_stack(
         self,
         simulator: TileSimulator,
-        chunk: list[tuple[int, _PhasePrep]],
-    ):
+        chunk: list[_PhasePrep],
+    ) -> list[TileOutcome]:
         """Run one stacked simulate_strips call and split it per phase.
 
-        Yields ``(index, prep, sampled, total_steps, total_makespan)``
-        per phase, with ``sampled`` accumulated in the phase's strip
-        order -- the exact accumulation of the unstacked batched path.
+        Returns ``(sampled, total_steps, total_makespan)`` per phase,
+        with ``sampled`` accumulated in the phase's strip order -- the
+        exact accumulation of a single-phase batch.
         """
-        a = np.concatenate([prep.a_stack for _, prep in chunk])
-        b = np.concatenate([prep.b_stack for _, prep in chunk])
-        if all(prep.initial_sums is None for _, prep in chunk):
+        a = np.concatenate([prep.a_stack for prep in chunk])
+        b = np.concatenate([prep.b_stack for prep in chunk])
+        if all(prep.initial_sums is None for prep in chunk):
             initial_sums = None
         else:
             # A zero warm start is bit-equivalent to no warm start:
@@ -670,19 +705,21 @@ class AcceleratorSimulator:
                             prep.a_stack.shape[1],
                         )
                     )
-                    for _, prep in chunk
+                    for prep in chunk
                 ]
             )
         batch = simulator.simulate_strips(a, b, initial_sums)
+        outcomes = []
         offset = 0
-        for index, prep in chunk:
+        for prep in chunk:
             strips = prep.strips
             sampled = SimCounters()
             for counters in batch.counters[offset : offset + strips]:
                 sampled.add(counters)
             makespan = int(batch.makespans[offset : offset + strips].sum())
             offset += strips
-            yield index, prep, sampled, batch.steps * strips, makespan
+            outcomes.append((sampled, batch.steps * strips, makespan))
+        return outcomes
 
     def _tile_config_for(self, workload: PhaseWorkload):
         """Tile config, honoring a per-layer accumulator width override."""

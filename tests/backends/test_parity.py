@@ -30,6 +30,7 @@ from repro.core.schedule import (
     schedule_from_weights_compact,
 )
 from repro.core.tile import TileSimulator
+from repro.core.tile_memo import DEFAULT_TILE_MEMO
 from repro.fp.bfloat16 import bf16_quantize
 from repro.harness.runner import SessionConfig, SimRequest, SimulationSession
 from repro.nn.fpmath import EngineConfig, MatmulEngine
@@ -186,15 +187,20 @@ class TestWorkloadParity:
 
         return build_workloads("NCF", progress=0.5, seed=0, cache=None)
 
-    def test_full_workload_bytes_identical(self):
-        results = [
+    def _simulate(self, name):
+        # The tile-outcome memo ignores the backend, so each backend
+        # starts from an empty memo to run its own kernels.
+        DEFAULT_TILE_MEMO.clear()
+        return (
             AcceleratorSimulator(
                 sample_strips=2, sample_steps=8, kernel_backend=name
             )
             .simulate_workload(self._workloads())
             .to_dict()
-            for name in KERNEL_BACKENDS
-        ]
+        )
+
+    def test_full_workload_bytes_identical(self):
+        results = [self._simulate(name) for name in KERNEL_BACKENDS]
         first = json.dumps(results[0], sort_keys=True)
         for other in results[1:]:
             assert json.dumps(other, sort_keys=True) == first
@@ -209,6 +215,7 @@ class TestSessionParity:
     """The knob through SimulationSession, including worker processes."""
 
     def _run(self, **knobs):
+        DEFAULT_TILE_MEMO.clear()
         config = SessionConfig(
             sample_strips=2, sample_steps=8, workload_cache=False, **knobs
         )

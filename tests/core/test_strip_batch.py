@@ -19,6 +19,7 @@ from repro.core.accelerator import AcceleratorSimulator
 from repro.core.config import PEConfig, TileConfig
 from repro.core.pragmatic import PragmaticFPAccelerator
 from repro.core.tile import TileSimulator
+from repro.core.tile_memo import DEFAULT_TILE_MEMO
 from repro.core.workload import PhaseWorkload
 from repro.fp.accumulator import AccumulatorSpec
 from repro.fp.bfloat16 import bf16_quantize
@@ -226,6 +227,14 @@ class TestLoopFreeStripSchedule:
                 assert (got == want).all(), field
 
 
+def _cold(simulator, workloads):
+    """``simulate_workload`` from an empty tile-outcome memo, so each leg
+    of a comparison runs the tile engine itself instead of reusing the
+    other leg's outcomes."""
+    DEFAULT_TILE_MEMO.clear()
+    return simulator.simulate_workload(workloads)
+
+
 class TestPhaseStacking:
     """Multi-phase stacks == per-phase batched calls, bit for bit."""
 
@@ -238,17 +247,17 @@ class TestPhaseStacking:
 
     def test_stacked_equals_unstacked(self):
         workloads = self._workloads()
-        stacked = AcceleratorSimulator().simulate_workload(workloads)
-        unstacked = AcceleratorSimulator(
-            phase_stacking=False
-        ).simulate_workload(workloads)
+        stacked = _cold(AcceleratorSimulator(), workloads)
+        unstacked = _cold(
+            AcceleratorSimulator(phase_stacking=False), workloads
+        )
         assert stacked.to_dict() == unstacked.to_dict()
 
     def test_stacked_equals_serial_reference(self):
         workloads = self._workloads()
-        stacked = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8
-        ).simulate_workload(workloads)
+        stacked = _cold(
+            AcceleratorSimulator(sample_strips=2, sample_steps=8), workloads
+        )
         serial = AcceleratorSimulator(
             sample_strips=2, sample_steps=8, strip_engine="serial"
         ).simulate_workload(workloads)
@@ -262,10 +271,10 @@ class TestPhaseStacking:
         layers = [layer.name for layer in get_model("NCF").layers]
         profile = {layers[0]: 9, layers[1]: 15}
         workloads = self._workloads(acc_profile=profile)
-        stacked = AcceleratorSimulator().simulate_workload(workloads)
-        unstacked = AcceleratorSimulator(
-            phase_stacking=False
-        ).simulate_workload(workloads)
+        stacked = _cold(AcceleratorSimulator(), workloads)
+        unstacked = _cold(
+            AcceleratorSimulator(phase_stacking=False), workloads
+        )
         assert stacked.to_dict() == unstacked.to_dict()
 
     def test_chunking_boundary(self):
@@ -275,16 +284,16 @@ class TestPhaseStacking:
         small._MAX_STACK_ROWS = 1  # one phase per call, degenerate cap
         large = AcceleratorSimulator()
         assert (
-            small.simulate_workload(workloads).to_dict()
-            == large.simulate_workload(workloads).to_dict()
+            _cold(small, workloads).to_dict()
+            == _cold(large, workloads).to_dict()
         )
 
     def test_pragmatic_stacking(self):
         workloads = self._workloads()
-        stacked = PragmaticFPAccelerator().simulate_workload(workloads)
-        unstacked = PragmaticFPAccelerator(
-            phase_stacking=False
-        ).simulate_workload(workloads)
+        stacked = _cold(PragmaticFPAccelerator(), workloads)
+        unstacked = _cold(
+            PragmaticFPAccelerator(phase_stacking=False), workloads
+        )
         assert stacked.to_dict() == unstacked.to_dict()
 
 
@@ -310,6 +319,12 @@ def _phase_workload(seed, sparsity=0.4, size=2048):
 
 class TestAcceleratorEngines:
     """The two strip engines share one operand draw -> identical phases."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        # The batched leg must run the engine, not reuse an outcome an
+        # earlier test memoized (the serial leg is never memoized).
+        DEFAULT_TILE_MEMO.clear()
 
     @pytest.mark.parametrize("cls", [AcceleratorSimulator, PragmaticFPAccelerator])
     def test_engines_bit_identical(self, cls):

@@ -154,6 +154,33 @@ class TestSweep:
         assert api.sweep([], session_config=QUICK) == []
 
 
+class TestKernelBackendForwarding:
+    @pytest.mark.filterwarnings("ignore:kernel backend 'numba':RuntimeWarning")
+    def test_daemon_forwards_kernel_backend_to_execute_request(
+        self, tmp_path, monkeypatch
+    ):
+        # The thread pool runs in-process, so patching the daemon's
+        # execute_request binding observes every cold simulation.
+        import repro.service.daemon as daemon_mod
+
+        seen = []
+        real = daemon_mod.execute_request
+
+        def _spy(request, *args):
+            seen.append(args)
+            return real(request, *args)
+
+        monkeypatch.setattr(daemon_mod, "execute_request", _spy)
+        config = SessionConfig(
+            sample_strips=2, sample_steps=8, kernel_backend="numba"
+        )
+        with ResultStore(tmp_path / "store") as store:
+            with background_daemon(config, store) as (url, _thread):
+                ServiceClient(url).submit("NCF")
+        assert len(seen) == 1
+        assert seen[0][-1] == "numba"
+
+
 class TestStatsAndHealth:
     def test_healthz(self, service):
         client, _store = service
@@ -242,7 +269,10 @@ class TestClientErrors:
         thread = threading.Thread(target=_accept, daemon=True)
         thread.start()
         try:
-            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=0.5)
+            # stats() runs under poll_timeout, so both bounds are short.
+            client = ServiceClient(
+                f"http://127.0.0.1:{port}", timeout=0.5, poll_timeout=0.5
+            )
             with pytest.raises(
                 ServiceTimeoutError, match=f"127.0.0.1:{port}"
             ):
