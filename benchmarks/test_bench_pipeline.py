@@ -28,8 +28,6 @@ import json
 import pathlib
 import time
 
-import numpy as np
-import pytest
 from conftest import show
 
 from repro.core.accelerator import AcceleratorSimulator
@@ -173,81 +171,3 @@ def test_pipeline_reuse_speedup(benchmark):
     BENCH_FILE.write_text(json.dumps(payload, indent=2) + "\n")
     assert speedup >= GATE
 
-
-BACKEND_GATE = 2.0
-
-
-def _schedule_stack(seed, groups, lanes, n_terms, kmax):
-    """A compacting-loop input shaped like a real multi-phase stack."""
-    sentinel = np.int16(1 << 12)
-    rng = np.random.default_rng(seed)
-    count = rng.integers(0, n_terms + 1, (groups, lanes))
-    k = rng.integers(0, kmax, (groups, lanes, n_terms)).astype(np.int16)
-    k.sort(axis=-1)
-    slot = np.arange(n_terms)
-    k = np.where(slot < count[:, :, None], k, sentinel)
-    return k, count, int(sentinel)
-
-
-def test_numba_schedule_loop_speedup():
-    """Numba vs numpy on the compacting cycle loop: identical, >= 2x.
-
-    Skips without the ``[backends]`` extra; the numpy-only container
-    still gates the reuse speedup above.  The measured comparison rides
-    along in ``BENCH_pipeline.json`` as a ``kernel_backends`` section.
-    """
-    pytest.importorskip("numba")
-    from repro.backends import get_backend
-    from repro.harness.profiling import _best_of
-
-    numpy_backend = get_backend("numpy")
-    numba_backend = get_backend("numba")
-    # A stack the size simulate_workload actually batches: thousands of
-    # reduction groups across the PE lanes of a phase stack.
-    k, kept, sentinel = _schedule_stack(7, 8192, 8, 5, 14)
-    window = 3
-
-    def run_numpy():
-        return numpy_backend.compact_cycle_loop(k, kept, window, sentinel)
-
-    def run_numba():
-        return numba_backend.compact_cycle_loop(k, kept, window, sentinel)
-
-    # First numba call pays JIT compilation; warm both before timing.
-    want = run_numpy()
-    got = run_numba()
-    for ours, theirs in zip(got, want):
-        assert ours.dtype == theirs.dtype
-        assert (ours == theirs).all()
-    t_numpy, _ = _best_of(run_numpy, 5)
-    t_numba, _ = _best_of(run_numba, 5)
-    if t_numpy / t_numba < BACKEND_GATE:
-        t_numpy = min(t_numpy, _best_of(run_numpy, 5)[0])
-        t_numba = min(t_numba, _best_of(run_numba, 5)[0])
-    speedup = t_numpy / t_numba
-    table = Table(
-        f"Kernel backends on the compacting schedule loop "
-        f"({k.shape[0]} groups x {k.shape[1]} lanes)",
-        ["backend", "time [s]", "speedup"],
-    )
-    table.add_row("numpy (reference)", t_numpy, 1.0)
-    table.add_row("numba (@njit)", t_numba, speedup)
-    show(
-        table,
-        "Bit-identical by contract -- the knob buys speed only, so "
-        "cached results stay valid across backends.",
-    )
-    payload = (
-        json.loads(BENCH_FILE.read_text()) if BENCH_FILE.exists() else {}
-    )
-    payload["kernel_backends"] = {
-        "kernel": "compact_cycle_loop",
-        "shape": list(k.shape),
-        "numpy_seconds": t_numpy,
-        "numba_seconds": t_numba,
-        "speedup": speedup,
-        "gate": BACKEND_GATE,
-    }
-    BENCH_FILE.parent.mkdir(exist_ok=True)
-    BENCH_FILE.write_text(json.dumps(payload, indent=2) + "\n")
-    assert speedup >= BACKEND_GATE

@@ -89,12 +89,6 @@ def _accepts_session(func) -> bool:
     return "session" in inspect.signature(func).parameters
 
 
-def _accepts_kernel_backend(func) -> bool:
-    """Whether an experiment runs MatmulEngine arithmetic directly
-    (session-driven experiments get the knob via the session instead)."""
-    return "kernel_backend" in inspect.signature(func).parameters
-
-
 def _tables(result) -> tuple:
     """Normalize an experiment's return value to a tuple of tables."""
     return result if isinstance(result, tuple) else (result,)
@@ -130,6 +124,16 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    """Argparse type for a TCP port number (0 picks a free port)."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..65535, got {value}"
+        )
     return value
 
 
@@ -171,14 +175,6 @@ def _session_flags() -> argparse.ArgumentParser:
         default="roofline",
         help="memory model for FPRaker simulations (default: roofline)",
     )
-    parent.add_argument(
-        "--kernel-backend",
-        choices=("numpy", "numba"),
-        default="numpy",
-        help="compiled kernel backend for the hot simulation loops "
-        "(bit-identical results; 'numba' needs the [backends] extra "
-        "and falls back to numpy with a warning when missing)",
-    )
     return parent
 
 
@@ -208,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profiler.add_argument(
         "--repeats",
-        type=int,
+        type=_positive_int,
         default=2,
         help="wall-clock measurements per stage, best kept (default: 2)",
     )
@@ -271,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     server.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8177,
         help="TCP port to listen on (default: 8177)",
     )
@@ -304,7 +300,6 @@ def _serve(args) -> int:
     config = SessionConfig(
         jobs=args.jobs,
         memory_engine=args.memory_engine,
-        kernel_backend=args.kernel_backend,
         workload_cache=(
             args.workload_cache if args.workload_cache is not None else True
         ),
@@ -324,6 +319,12 @@ def _serve(args) -> int:
             )
     try:
         return run_daemon(config, store, host=args.host, port=args.port)
+    except OSError as exc:
+        print(
+            f"repro serve: cannot listen on {args.host}:{args.port}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     finally:
         store.close()
 
@@ -399,7 +400,6 @@ def main(argv: list[str] | None = None) -> int:
             jobs=args.jobs,
             cache_dir=args.cache,
             memory_engine=args.memory_engine,
-            kernel_backend=args.kernel_backend,
             workload_cache=(
                 args.workload_cache if args.workload_cache is not None else True
             ),
@@ -422,8 +422,6 @@ def main(argv: list[str] | None = None) -> int:
                 kwargs["partition"] = args.partition
         if _accepts_session(func):
             kwargs["session"] = session
-        if _accepts_kernel_backend(func):
-            kwargs["kernel_backend"] = args.kernel_backend
         result = func(**kwargs)
         if args.format == "json":
             json_out[name] = _payload(result)

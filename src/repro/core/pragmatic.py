@@ -48,8 +48,6 @@ class PragmaticFPAccelerator(AcceleratorSimulator):
             tile pass (default; bit-identical to per-phase calls).
         memory_engine: ``"roofline"`` (default) or the event-level
             ``"hierarchy"`` traffic engine.
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry
-            the hot loops run through (bit-identical by contract).
     """
 
     def __init__(
@@ -63,7 +61,6 @@ class PragmaticFPAccelerator(AcceleratorSimulator):
         strip_engine: str = "batched",
         phase_stacking: bool = True,
         memory_engine: str = "roofline",
-        kernel_backend: str = "numpy",
     ) -> None:
         super().__init__(
             config=config if config is not None else pragmatic_paper_config(),
@@ -75,7 +72,6 @@ class PragmaticFPAccelerator(AcceleratorSimulator):
             strip_engine=strip_engine,
             phase_stacking=phase_stacking,
             memory_engine=memory_engine,
-            kernel_backend=kernel_backend,
         )
 
     def _phase_energy(

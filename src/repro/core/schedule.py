@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import resolve_backend
 from repro.core.config import PEConfig
 from repro.encoding.booth import term_positions
 from repro.encoding.terms import MAX_TERMS, TERM_SLOTS
@@ -297,13 +296,102 @@ def schedule_from_weights(
     )
 
 
+def _compact_cycle_loop(
+    k: np.ndarray,
+    kept: np.ndarray,
+    window: int,
+    sentinel: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run the compacting schedule cycle loop over a group batch.
+
+    Args:
+        k: ``[groups, lanes, terms]`` ascending alignment offsets,
+            sentinel-padded, int16 or int64.
+        kept: ``[groups, lanes]`` surviving term counts (int64).
+        window: the PE shift window.
+        sentinel: the "no term" offset value of ``k``'s dtype.
+
+    Returns:
+        ``(cycles, useful, shift_stall, no_term)`` int64 arrays --
+        ``cycles`` of shape ``[groups]``, the rest
+        ``[groups, lanes]`` -- exactly as the reference loop in
+        :func:`schedule_from_weights` produces
+        for each group.
+    """
+    groups, lanes, n_terms = k.shape
+    last_slot = n_terms - 1
+    cycles = np.zeros(groups, dtype=np.int64)
+    useful = np.zeros((groups, lanes), dtype=np.int64)
+    shift_stall = np.zeros((groups, lanes), dtype=np.int64)
+    no_term = np.zeros((groups, lanes), dtype=np.int64)
+    k_live = np.ascontiguousarray(k)
+    kept_live = kept
+    live = np.arange(groups)
+    index = np.zeros((groups, lanes), dtype=np.int64)
+    cycles_live = np.zeros(groups, dtype=np.int64)
+    useful_live = np.zeros((groups, lanes), dtype=np.int64)
+    shift_live = np.zeros((groups, lanes), dtype=np.int64)
+    no_term_live = np.zeros((groups, lanes), dtype=np.int64)
+    # Flat gather base for the current-term lookup (cheaper than
+    # take_along_axis in the hot loop); rebuilt after each
+    # compaction.
+    flat_base = (
+        np.arange(groups)[:, None] * lanes + np.arange(lanes)
+    ) * n_terms
+    k_flat = k_live.reshape(-1)
+    while live.size:
+        pending = index < kept_live
+        alive = pending.any(axis=1)
+        n_alive = int(alive.sum())
+        if n_alive * 5 < live.size * 3:
+            # Enough groups retired (> 40%): write their ledgers
+            # home and shrink the working set.  Compacting lazily
+            # keeps the per-iteration cost of the scatter/gather
+            # well below the ufunc work it saves; retired groups
+            # that linger until the next sweep accumulate nothing
+            # (every add below is gated).
+            done = ~alive
+            home = live[done]
+            cycles[home] = cycles_live[done]
+            useful[home] = useful_live[done]
+            shift_stall[home] = shift_live[done]
+            no_term[home] = no_term_live[done]
+            live = live[alive]
+            if not live.size:
+                break
+            k_live = np.ascontiguousarray(k_live[alive])
+            kept_live = kept_live[alive]
+            index = index[alive]
+            pending = pending[alive]
+            cycles_live = cycles_live[alive]
+            useful_live = useful_live[alive]
+            shift_live = shift_live[alive]
+            no_term_live = no_term_live[alive]
+            flat_base = flat_base[: live.size]
+            k_flat = k_live.reshape(-1)
+            alive = None  # every group in the set is now alive
+        current = k_flat[flat_base + np.minimum(index, last_slot)]
+        current = np.where(pending, current, sentinel)
+        base = current.min(axis=1)
+        fire = pending & (current - base[:, None] <= window)
+        useful_live += fire
+        index += fire
+        shift_live += pending & ~fire
+        if alive is None:
+            no_term_live += ~pending
+            cycles_live += 1
+        else:
+            no_term_live += (~pending) & alive[:, None]
+            cycles_live += alive
+    return cycles, useful, shift_stall, no_term
+
+
 def schedule_from_weights_compact(
     k: np.ndarray,
     kept: np.ndarray,
     zero_slots: np.ndarray,
     ob_skipped: np.ndarray,
     config: PEConfig,
-    kernel_backend: str = "numpy",
 ) -> ScheduleResult:
     """Compacting variant of :func:`schedule_from_weights`.
 
@@ -320,11 +408,6 @@ def schedule_from_weights_compact(
     in the given dtype, which halves the hot loop's memory traffic for
     the batched engine's int16 offsets.
 
-    The residual cycle loop (the groups the closed-form fast path below
-    cannot answer) runs through the :mod:`repro.backends` kernel layer;
-    every backend is bit-identical by contract, so the knob never
-    changes results.
-
     Args:
         k: ``[..., lanes, MAX_TERMS]`` ascending offsets, sentinel
             padded.
@@ -332,8 +415,6 @@ def schedule_from_weights_compact(
         zero_slots: ``[..., lanes]`` never-encoded slots.
         ob_skipped: ``[..., lanes]`` OB-discarded terms.
         config: PE parameters (shift window).
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry
-            running the residual cycle loop.
 
     Returns:
         The per-group :class:`ScheduleResult` in the leading shape.
@@ -371,8 +452,7 @@ def schedule_from_weights_compact(
     no_term = np.where(fast[:, None], fast_cycles[:, None] - kept_all, no_term)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        backend = resolve_backend(kernel_backend)
-        s_cycles, s_useful, s_shift, s_no_term = backend.compact_cycle_loop(
+        s_cycles, s_useful, s_shift, s_no_term = _compact_cycle_loop(
             k_all[slow], kept_all[slow], window, sentinel
         )
         cycles[slow] = s_cycles

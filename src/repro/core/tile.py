@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import resolve_backend
 from repro.core.config import TileConfig
 from repro.core.schedule import (
     _K_SENTINEL,
@@ -209,20 +208,10 @@ class TileSimulator:
 
     Args:
         config: tile geometry and PE parameters.
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry the
-            batched engine's hot loops (compact schedule, column
-            timeline) run through; bit-identical by contract, so the
-            knob never changes results.  The serial reference engine
-            stays pure numpy regardless.
     """
 
-    def __init__(
-        self,
-        config: TileConfig | None = None,
-        kernel_backend: str = "numpy",
-    ) -> None:
+    def __init__(self, config: TileConfig | None = None) -> None:
         self.config = config if config is not None else TileConfig()
-        self.kernel_backend = kernel_backend
 
     def simulate_strip(
         self,
@@ -479,8 +468,7 @@ class TileSimulator:
         # any >= _SENT16 entry as "no term", so no int64 widening pass
         # is needed between the schedule build and the loop.
         return schedule_from_weights_compact(
-            k_fire, col_kept, zero_slots, col_ob, cfg,
-            kernel_backend=self.kernel_backend,
+            k_fire, col_kept, zero_slots, col_ob, cfg
         )
 
     def _column_timeline(
@@ -515,12 +503,37 @@ class TileSimulator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`_column_timeline` over ``[strip, col, step]``.
 
-        The step loop (each step's release gate depends on earlier
-        finishes) runs through the kernel-backend layer: once over the
-        whole batch, with every strip advancing in lockstep.
+        The step loop is unavoidable (each step's release gate depends
+        on earlier finishes) but runs once for the whole batch, with
+        every strip advancing in lockstep.
+
+        Args:
+            col_cycles: ``[strip, cols, steps]`` per-column group
+                durations (int64).
+
+        Returns:
+            ``(finish, cross_idle)`` int64 arrays of ``col_cycles``'s
+            shape: completion time of every column step, and the idle
+            cycles each column spent waiting on held-back B sets.
         """
-        backend = resolve_backend(self.kernel_backend)
-        return backend.column_timeline(col_cycles, self.config.buffer_depth)
+        depth = self.config.buffer_depth
+        strips, cols, steps = col_cycles.shape
+        finish = np.zeros((strips, cols, steps), dtype=np.int64)
+        cross_idle = np.zeros((strips, cols, steps), dtype=np.int64)
+        prev_finish = np.zeros((strips, cols), dtype=np.int64)
+        zero_gate = np.zeros((strips, 1), dtype=np.int64)
+        for s in range(steps):
+            # B set s is released once every column consumed set
+            # s-depth.
+            if s >= depth:
+                gate = finish[:, :, s - depth].max(axis=1, keepdims=True)
+            else:
+                gate = zero_gate
+            start = np.maximum(prev_finish, gate)
+            cross_idle[:, :, s] = start - prev_finish
+            prev_finish = start + col_cycles[:, :, s]
+            finish[:, :, s] = prev_finish
+        return finish, cross_idle
 
     def _build_counters(
         self,

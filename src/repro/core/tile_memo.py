@@ -12,9 +12,9 @@ totals -- is memoized on exactly that content:
 
 * the key is the :class:`TileConfig` plus a sha256 over the shape,
   dtype and bytes of ``a_stack``, ``b_stack`` and ``initial_sums``.
-  Request identity, the memory engine, base-delta compression, training
-  progress and the kernel backend never enter it: they either act after
-  the tile engine or are bit-identical by contract;
+  Request identity, the memory engine, base-delta compression and
+  training progress never enter it: they act before or after the tile
+  engine, never on its inputs' content;
 * being content-addressed, the key needs no version constant -- a
   change to what the sampler draws changes the bytes, and a change to
   the engine's semantics lives in code that a new process loads fresh;

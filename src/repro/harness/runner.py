@@ -29,7 +29,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.backends import KERNEL_BACKENDS
 from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
 from repro.core.baseline import BaselineAccelerator
 from repro.core.config import (
@@ -319,7 +318,6 @@ def execute_request(
     sim_seed: int = 1234,
     memory_engine: str = "roofline",
     workload_cache="default",
-    kernel_backend: str = "numpy",
 ) -> WorkloadResult:
     """Run one simulation cold (module-level so worker processes can
     receive it by name).
@@ -337,10 +335,6 @@ def execute_request(
             ``"default"``, a cache instance, a disk directory (strings
             survive the trip into worker processes), or None for cold
             builds.
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry
-            the hot kernels run through.  Deliberately absent from
-            :func:`canonical_key`: every backend is bit-identical by
-            contract, so a cached result is valid under all of them.
 
     Returns:
         The simulated :class:`WorkloadResult` -- or, when
@@ -370,7 +364,6 @@ def execute_request(
             sample_steps=sample_steps,
             seed=sim_seed,
             memory_engine=memory_engine,
-            kernel_backend=kernel_backend,
         )
         return simulator.simulate_workload(workloads, model=request.model)
     if config.name == "baseline":
@@ -386,9 +379,15 @@ def execute_request(
         sample_steps=sample_steps,
         seed=sim_seed,
         memory_engine=memory_engine,
-        kernel_backend=kernel_backend,
     )
     return simulator.simulate_workload(workloads)
+
+
+def _fspath_field(name: str, value: object) -> str:
+    """``value`` as a path string, or a ``ValueError`` naming ``name``."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a path, got {value!r}")
+    return os.fspath(value)
 
 
 @dataclass(frozen=True)
@@ -414,11 +413,6 @@ class SessionConfig:
             persisted under ``cache_dir/workloads`` when ``cache_dir``
             is set), ``False`` (rebuild per simulation), or a disk
             directory.
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry
-            the hot kernels run through (``"numpy"`` default;
-            ``"numba"`` falls back to numpy with a warning when the
-            optional dependency is absent).  Never part of canonical
-            cache keys: every backend is bit-identical by contract.
     """
 
     jobs: int = 1
@@ -428,11 +422,12 @@ class SessionConfig:
     sim_seed: int = 1234
     memory_engine: str = "roofline"
     workload_cache: bool | str = True
-    kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         """Validate and normalize every field (frozen-safe)."""
-        object.__setattr__(self, "jobs", max(1, int(self.jobs)))
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int):
+            raise ValueError(f"jobs must be an integer, got {self.jobs!r}")
+        object.__setattr__(self, "jobs", max(1, self.jobs))
         for name in ("sample_strips", "sample_steps"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -447,16 +442,15 @@ class SessionConfig:
             )
         if self.memory_engine not in ("roofline", "hierarchy"):
             raise ValueError(f"unknown memory engine {self.memory_engine!r}")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; "
-                f"expected one of {KERNEL_BACKENDS}"
-            )
         if self.cache_dir is not None:
-            object.__setattr__(self, "cache_dir", os.fspath(self.cache_dir))
+            object.__setattr__(
+                self, "cache_dir", _fspath_field("cache_dir", self.cache_dir)
+            )
         if not isinstance(self.workload_cache, bool):
             object.__setattr__(
-                self, "workload_cache", os.fspath(self.workload_cache)
+                self,
+                "workload_cache",
+                _fspath_field("workload_cache", self.workload_cache),
             )
 
     @property
@@ -483,7 +477,6 @@ class SessionConfig:
             "sim_seed": self.sim_seed,
             "memory_engine": self.memory_engine,
             "workload_cache": self.workload_cache,
-            "kernel_backend": self.kernel_backend,
         }
 
     @classmethod
@@ -515,7 +508,7 @@ class SessionConfig:
             )
         known = (
             "schema", "jobs", "cache_dir", "sample_strips", "sample_steps",
-            "sim_seed", "memory_engine", "workload_cache", "kernel_backend",
+            "sim_seed", "memory_engine", "workload_cache",
         )
         unknown = sorted(set(data) - set(known))
         if unknown:
@@ -531,7 +524,6 @@ class SessionConfig:
             "sim_seed": data.get("sim_seed"),
             "memory_engine": data.get("memory_engine"),
             "workload_cache": data.get("workload_cache"),
-            "kernel_backend": data.get("kernel_backend"),
         }
         kwargs = {}
         for name, value in values.items():
@@ -638,7 +630,6 @@ class SimulationSession:
         self.sample_steps = config.sample_steps
         self.sim_seed = config.sim_seed
         self.memory_engine = config.memory_engine
-        self.kernel_backend = config.kernel_backend
         self.workload_cache_spec = config.workload_cache_spec
         self.disk = (
             ResultCache(config.cache_dir)
@@ -800,7 +791,6 @@ class SimulationSession:
                         self.sim_seed,
                         self.memory_engine,
                         self.workload_cache_spec,
-                        self.kernel_backend,
                     )
                     for _, request in items
                 ]
@@ -839,5 +829,4 @@ class SimulationSession:
             self.sim_seed,
             self.memory_engine,
             self.workload_cache_spec,
-            self.kernel_backend,
         )

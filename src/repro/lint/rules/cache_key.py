@@ -35,10 +35,8 @@ KEY_BUILDERS = ("canonical_key", "workload_key")
 
 # Parameters that are *not* part of a simulation's result: the request
 # object itself (its fields are checked individually), execution
-# plumbing, cache plumbing, and the kernel backend (bit-identical by
-# contract -- see repro.backends -- so a cached result is valid under
-# every backend).  Documented in docs/LINTING.md; anything else
-# reaching a simulator must be keyed.
+# plumbing and cache plumbing.  Documented in docs/LINTING.md; anything
+# else reaching a simulator must be keyed.
 NON_KEY_PARAMS = {
     "self",
     "cls",
@@ -46,7 +44,6 @@ NON_KEY_PARAMS = {
     "jobs",
     "cache_dir",
     "workload_cache",
-    "kernel_backend",
 }
 
 

@@ -35,14 +35,12 @@ KNOBS: dict[str, tuple[str, ...]] = {
     "memory_engine": ("roofline", "hierarchy"),
     "partition": ("data", "model", "pipeline"),
     "scheme": ("data", "model", "pipeline"),
-    "kernel_backend": ("numpy", "numba"),
 }
 
 # Module constants pinned to a knob's registered set (``scheme not in
 # SCHEMES`` validations are checked through the constant's definition).
 CONSTANT_ALIASES: dict[str, str] = {
     "SCHEMES": "scheme",
-    "KERNEL_BACKENDS": "kernel_backend",
 }
 
 # argparse flags mapped onto knobs (``--memory-engine`` et al).

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import KERNEL_BACKENDS, resolve_backend
 from repro.encoding.booth import _LUT_PARTIAL_SIGNED16_FLAT, partial_csd_sum
 from repro.fp.bfloat16 import bf16_fields, bf16_quantize
 from repro.fp.softfloat import round_significand
@@ -56,27 +55,18 @@ class EngineConfig:
             out-of-bounds threshold in ``fpraker`` mode.
         chunk_size: MACs per chunk before flushing to fp32 (paper: 64).
         group: MACs per accumulation round (paper: 8, one PE group).
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry the
-            chunk-vectorized group loop runs through; bit-identical by
-            contract, so the knob never changes results.
     """
 
     mode: str = "fp32"
     acc_frac_bits: int = 12
     chunk_size: int = 64
     group: int = 8
-    kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
         if self.chunk_size % self.group:
             raise ValueError("chunk_size must be a multiple of group")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; "
-                f"expected one of {KERNEL_BACKENDS}"
-            )
 
 
 class MatmulEngine:
@@ -279,8 +269,7 @@ class MatmulEngine:
                 -_PRODUCT_FRAC_BITS,
             )
         )
-        backend = resolve_backend(cfg.kernel_backend)
-        return backend.accumulate_chunks(
+        return _accumulate_chunks(
             a_exp_r,
             b_exp_r,
             a_idx_r if fpraker else a_sgnman_r,
@@ -410,3 +399,78 @@ def _leading_exponent16(values: np.ndarray) -> np.ndarray:
     bits = values.view(np.uint64)
     field = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int16)
     return np.where(values != 0.0, field - np.int16(1023), _EACC_ZERO16)
+
+
+def _accumulate_chunks(
+    a_exp: np.ndarray,
+    b_exp: np.ndarray,
+    a_mag: np.ndarray,
+    b_signed: np.ndarray,
+    lut: np.ndarray,
+    frac: int,
+    group: int,
+    fpraker: bool,
+    man_dtype: type,
+) -> np.ndarray:
+    """Run the group loop of the chunked matmul emulation.
+
+    Args:
+        a_exp: ``[M, chunks, span]`` int16 serial-side exponents.
+        b_exp: ``[chunks, span, N]`` int16 parallel-side exponents.
+        a_mag: serial-side magnitudes ``[M, chunks, span]`` -- the
+            flattened signed-partial LUT indices (int16) in
+            ``fpraker`` mode, else signed significands in
+            ``man_dtype``.
+        b_signed: ``[chunks, span, N]`` signed parallel
+            significands scaled by ``2^-14``, in ``man_dtype``.
+        lut: the flattened signed-partial CSD table
+            (:data:`repro.encoding.booth._LUT_PARTIAL_SIGNED16_FLAT`);
+            only read in ``fpraker`` mode.
+        frac: accumulator fractional bits.
+        group: MACs per accumulation round.
+        fpraker: drop out-of-bounds CSD terms of the serial side.
+        man_dtype: ``np.float32`` or ``np.float64`` -- the
+            significand work dtype (exact either way by the caller's
+            range guarantee, so both give identical bytes).
+
+    Returns:
+        float64 ``[M, chunks, N]`` chunk-final accumulator values.
+    """
+    m_rows, chunks, span = a_exp.shape
+    n_cols = b_exp.shape[2]
+    acc = np.zeros((m_rows, chunks, n_cols), dtype=np.float64)
+    for lo in range(0, span, group):
+        hi = min(lo + group, span)
+        # [M, chunks, group, N] product exponents.
+        abe = a_exp[:, :, lo:hi, None] + b_exp[None, :, lo:hi, :]
+        acc_exp = _leading_exponent16(acc)
+        emax = np.maximum(abe.max(axis=2), acc_exp)
+        gexp = emax - np.int16(frac)
+        if fpraker:
+            # pmin = (emax - ABe) - (frac - 7), with the constant
+            # folded into the small emax-shaped term.
+            pmin = (emax - np.int16(frac - _BF16_FRAC))[
+                :, :, None, :
+            ] - abe
+            cut = np.clip(pmin, 0, 10)
+            manprod = (
+                lut[a_mag[:, :, lo:hi, None] + cut]
+                * b_signed[None, :, lo:hi, :]
+            )
+        else:
+            manprod = (
+                a_mag[:, :, lo:hi, None]
+                * b_signed[None, :, lo:hi, :]
+            )
+        # Scale the significand product straight onto the snapping
+        # grid: value = manprod * 2^(ABe + frac - emax).
+        snapped = np.rint(
+            np.ldexp(manprod, abe - gexp[:, :, None, :])
+        )
+        total = snapped.sum(axis=2, dtype=man_dtype).astype(
+            np.float64
+        ) + np.rint(np.ldexp(acc, -gexp.astype(np.int64)))
+        acc = _round_finite(
+            np.ldexp(total, gexp.astype(np.int64)), frac
+        )
+    return acc

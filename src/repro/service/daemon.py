@@ -128,7 +128,6 @@ class ServiceDaemon:
                 self.config.sim_seed,
                 self.config.memory_engine,
                 self.config.workload_cache_spec,
-                self.config.kernel_backend,
             )
             self.stats.simulations += 1
             self.store.store(key, result)

@@ -12,7 +12,7 @@ vectorized schedule is pinned against the scalar PE.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.accelerator import AcceleratorSimulator
@@ -75,6 +75,10 @@ class TestBatchedEqualsSerial:
         warm=st.sampled_from([None, 1.0, 1e4, 1e8]),
         ob_skip=st.booleans(),
         window=st.integers(1, 8),
+    )
+    @example(
+        seed=11, strips=1, rows=8, cols=8, steps=6, depth=2, spread=4,
+        zero_fraction=0.3, warm=None, ob_skip=True, window=2,
     )
     def test_property(
         self,
@@ -360,3 +364,9 @@ class TestAcceleratorEngines:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             AcceleratorSimulator(strip_engine="gpu")
+
+    @pytest.mark.parametrize("engine", ["batched", "serial"])
+    def test_empty_phase_list_rejected(self, engine):
+        sim = AcceleratorSimulator(strip_engine=engine)
+        with pytest.raises(ValueError, match="empty workload list"):
+            sim.simulate_workload([])

@@ -143,17 +143,6 @@ class TestKeying:
         assert len(strip_calls) == 1
         assert DEFAULT_TILE_MEMO.stats.hits == 3
 
-    @pytest.mark.filterwarnings(
-        "ignore:.*falling back to the numpy backend.*:RuntimeWarning"
-    )
-    def test_kernel_backend_shares_one_tile_run(self, strip_calls):
-        workload = self._phase()
-        for backend in ("numpy", "numba"):
-            AcceleratorSimulator(
-                kernel_backend=backend, **QUICK
-            ).simulate_phase(workload)
-        assert len(strip_calls) == 1
-
     def test_ob_skip_misses(self, strip_calls):
         workload = self._phase()
         AcceleratorSimulator(_variant_config("full"), **QUICK).simulate_phase(

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import socket
 
 import pytest
 
@@ -134,3 +135,33 @@ class TestScaleoutCli:
         cold = capsys.readouterr().out
         assert main(args) == 0  # warm run reads the disk cache
         assert capsys.readouterr().out == cold
+
+
+class TestArgumentRanges:
+    def test_profile_rejects_nonpositive_repeats(self, capsys):
+        for repeats in ("0", "-3"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["profile", "--repeats", repeats])
+            assert excinfo.value.code == 2
+            assert "must be >= 1" in capsys.readouterr().err
+
+    def test_serve_rejects_out_of_range_port(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--store", str(tmp_path / "s"), "--port", "70000"])
+        assert excinfo.value.code == 2
+        assert "0..65535" in capsys.readouterr().err
+
+    def test_serve_port_in_use_exits_2_without_traceback(
+        self, tmp_path, capsys
+    ):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            code = main(
+                ["serve", "--store", str(tmp_path / "s"), "--port", str(port)]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"repro serve: cannot listen on 127.0.0.1:{port}" in err
+        assert "Traceback" not in err

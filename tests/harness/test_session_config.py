@@ -32,6 +32,11 @@ class TestSessionConfigValidation:
         assert SessionConfig(jobs=-3).jobs == 1
         assert SessionConfig(jobs=4).jobs == 4
 
+    @pytest.mark.parametrize("jobs", ["abc", "3", 2.7, True, [1]])
+    def test_jobs_must_be_integer(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            SessionConfig(jobs=jobs)
+
     @pytest.mark.parametrize("field", ["sample_strips", "sample_steps"])
     def test_sampling_must_be_positive_integers(self, field):
         with pytest.raises(ValueError, match=field):
@@ -48,6 +53,12 @@ class TestSessionConfigValidation:
     def test_memory_engine_message_matches_legacy(self):
         with pytest.raises(ValueError, match="unknown memory engine 'dram'"):
             SessionConfig(memory_engine="dram")
+
+    @pytest.mark.parametrize("field", ["cache_dir", "workload_cache"])
+    @pytest.mark.parametrize("value", [7, 2.5, ["dir"]])
+    def test_paths_must_be_paths(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SessionConfig(**{field: value})
 
     def test_paths_normalized_to_strings(self, tmp_path):
         config = SessionConfig(
@@ -115,6 +126,27 @@ class TestSessionConfigWireForm:
     def test_field_validation_still_applies(self):
         with pytest.raises(ValueError, match="memory engine"):
             SessionConfig.from_dict({"memory_engine": "dram"})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"jobs": "abc"},
+            {"jobs": [1]},
+            {"jobs": "3"},
+            {"jobs": 2.7},
+            {"jobs": True},
+            {"cache_dir": 7},
+            {"workload_cache": 5},
+        ],
+    )
+    def test_field_validation_names_the_field(self, payload):
+        (field,) = payload
+        with pytest.raises(ValueError, match=field):
+            SessionConfig.from_dict(payload)
+
+    def test_removed_kernel_backend_field_rejected(self):
+        with pytest.raises(WireFormatError, match="kernel_backend"):
+            SessionConfig.from_dict({"kernel_backend": "numpy"})
 
 
 class TestConstructorShim:

@@ -5,6 +5,8 @@ figures.  Bands are deliberately loose -- they pin the *shape* of each
 result (who wins and by roughly how much), not the exact number.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro.harness.experiments import (
     run_fig13_skipped,
     run_fig14_phases,
 )
-from repro.harness.runner import SimulationSession
+from repro.harness.runner import SimRequest, SimulationSession
 from repro.traces.workloads import build_workloads
 
 
@@ -153,6 +155,14 @@ class TestSessionedExperiments:
         for left, right in zip(tables_serial, tables_parallel):
             assert left.rows == right.rows
             assert left.render() == right.render()
+        # The worker-process results themselves, byte for byte.
+        simulated = parallel.stats.simulations
+        for model in self.MODELS:
+            request = SimRequest.make(model)
+            assert json.dumps(
+                parallel.resolve(request).to_dict(), sort_keys=True
+            ) == json.dumps(serial.resolve(request).to_dict(), sort_keys=True)
+        assert parallel.stats.simulations == simulated
 
     def test_sessioned_figures_match_direct_simulation(self, quick_sims):
         """The session front end reproduces ad-hoc simulator results."""

@@ -2,8 +2,6 @@
 
 SCHEMES = ("data", "model")  # missing "pipeline"
 
-KERNEL_BACKENDS = ("numpy",)  # missing "numba"
-
 
 def simulate(strip_engine: str, memory_engine: str, partition: str):
     """Every dispatch mistake the rule knows about."""
@@ -20,14 +18,6 @@ def simulate(strip_engine: str, memory_engine: str, partition: str):
     return result
 
 
-def dispatch_kernels(kernel_backend: str):
-    """Comparison against an unregistered backend name."""
-    if kernel_backend == "cython":  # not a registered backend
-        return 1
-    return 0
-
-
 def build_flags(parser):
     """Choices tuple missing a registered engine."""
     parser.add_argument("--memory-engine", choices=("roofline",))
-    parser.add_argument("--kernel-backend", choices=("numpy",))

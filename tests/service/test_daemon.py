@@ -154,9 +154,8 @@ class TestSweep:
         assert api.sweep([], session_config=QUICK) == []
 
 
-class TestKernelBackendForwarding:
-    @pytest.mark.filterwarnings("ignore:kernel backend 'numba':RuntimeWarning")
-    def test_daemon_forwards_kernel_backend_to_execute_request(
+class TestSessionConfigForwarding:
+    def test_daemon_forwards_session_config_to_execute_request(
         self, tmp_path, monkeypatch
     ):
         # The thread pool runs in-process, so patching the daemon's
@@ -172,13 +171,18 @@ class TestKernelBackendForwarding:
 
         monkeypatch.setattr(daemon_mod, "execute_request", _spy)
         config = SessionConfig(
-            sample_strips=2, sample_steps=8, kernel_backend="numba"
+            sample_strips=3,
+            sample_steps=5,
+            sim_seed=99,
+            memory_engine="hierarchy",
+            workload_cache=tmp_path / "workloads",
         )
         with ResultStore(tmp_path / "store") as store:
             with background_daemon(config, store) as (url, _thread):
                 ServiceClient(url).submit("NCF")
-        assert len(seen) == 1
-        assert seen[0][-1] == "numba"
+        assert seen == [
+            (3, 5, 99, "hierarchy", str(tmp_path / "workloads"))
+        ]
 
 
 class TestStatsAndHealth:
