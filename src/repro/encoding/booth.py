@@ -231,33 +231,6 @@ def _build_partial_lut() -> np.ndarray:
 
 _LUT_PARTIAL = _build_partial_lut()
 
-# Signed variant: rows 256..511 hold the negated sums, so an index of
-# ``man + (sign << 8)`` yields the sign-applied partial directly --
-# one gather replaces a gather, a sign select, and a multiply in the
-# matmul emulation's hot loop.
-_LUT_PARTIAL_SIGNED = np.concatenate([_LUT_PARTIAL, -_LUT_PARTIAL])
-
-# Flat int16 view for the narrow-dtype matmul emulation: partial sums
-# fit comfortably (|sum| <= 255), and a precomputed row-stride-11 index
-# turns the 2-D gather into one flat gather.
-_LUT_PARTIAL_SIGNED16_FLAT = _LUT_PARTIAL_SIGNED.astype(np.int16).ravel()
-
-
-def partial_csd_sum_signed(
-    signed_man: np.ndarray, pmin: np.ndarray
-) -> np.ndarray:
-    """Sign-applied :func:`partial_csd_sum`.
-
-    Args:
-        signed_man: ``man + (sign << 8)`` indices (sign 0/1), any shape.
-        pmin: power cutoffs, same shape; clipped to [0, 10].
-
-    Returns:
-        int64 array of ``(-1)^sign`` times the partial sums.
-    """
-    cut = np.clip(np.asarray(pmin, dtype=np.int64), 0, 10)
-    return _LUT_PARTIAL_SIGNED[np.asarray(signed_man, dtype=np.int64), cut]
-
 
 def partial_csd_sum(man: np.ndarray, pmin: np.ndarray) -> np.ndarray:
     """Sum of the CSD terms of ``man`` whose power is at least ``pmin``.

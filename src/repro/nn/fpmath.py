@@ -18,10 +18,14 @@ FPRaker PE functional model:
 hardware: each product's serial-side significand is the sum of its CSD
 terms, and terms whose aligned position falls below the accumulator's
 reach are *dropped* (out-of-bounds skipping) before the lane's value is
-rounded onto the grid.  The emulation uses a partial-CSD lookup table,
-so it is exact with respect to the PE functional model -- the test
-suite checks both modes against the scalar references element by
-element.
+rounded onto the grid.  Both modes gather each lane's significand from
+one pre-scaled table per mode, indexed by the serial side's sign and
+significand and by its alignment distance ``emax - ABe``: in
+``fpraker`` mode an entry is the partial CSD sum that survives the
+cut, in ``bf16`` mode the full significand, each already shifted onto
+the snapping grid.  The emulation is exact with respect to the PE
+functional model -- the test suite checks both modes against the
+scalar references element by element.
 
 All float64 intermediates are exact: bfloat16 products need 16
 significand bits and the aligned sums under 20, far inside float64's 52.
@@ -29,11 +33,12 @@ significand bits and the aligned sums under 20, far inside float64's 52.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.encoding.booth import _LUT_PARTIAL_SIGNED16_FLAT, partial_csd_sum
+from repro.encoding.booth import partial_csd_sum
 from repro.fp.bfloat16 import bf16_fields, bf16_quantize
 from repro.fp.softfloat import round_significand
 
@@ -65,8 +70,26 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
+        if self.group < 1:
+            raise ValueError(f"group must be >= 1, got {self.group}")
+        if self.chunk_size < self.group:
+            raise ValueError(
+                f"chunk_size must be >= group ({self.group}), "
+                f"got {self.chunk_size}"
+            )
         if self.chunk_size % self.group:
             raise ValueError("chunk_size must be a multiple of group")
+        if self.acc_frac_bits < 0:
+            raise ValueError(
+                f"acc_frac_bits must be >= 0, got {self.acc_frac_bits}"
+            )
+        # A round's group-sum is an integer below group * 2^(frac + 2);
+        # past 2^53 even the float64 path would round it.
+        if self.group << (self.acc_frac_bits + 2) > 1 << 53:
+            raise ValueError(
+                f"group * 2**(acc_frac_bits + 2) must not exceed 2**53, "
+                f"got group={self.group}, acc_frac_bits={self.acc_frac_bits}"
+            )
 
 
 class MatmulEngine:
@@ -219,28 +242,42 @@ class MatmulEngine:
         n_cols = bq.shape[1]
         span = (k1 - k0) // chunks
 
+        # The work is laid out [M, chunks, group, N], or [N, chunks,
+        # group, M] when M > N: the longer matrix side on the last
+        # axis gives every pass long contiguous inner loops.  Both
+        # layouts run the same elementwise passes and group-axis
+        # reductions, so they give identical bytes.
+        flip = m_rows > n_cols
+
         def a_slice(field):
-            return field[:, k0:k1].reshape(m_rows, chunks, span)
+            part = field[:, k0:k1].reshape(m_rows, chunks, span, 1)
+            return np.ascontiguousarray(
+                part.transpose(3, 1, 2, 0) if flip else part
+            )
 
         def b_slice(field):
-            return field[k0:k1].reshape(chunks, span, n_cols)
+            part = field[k0:k1].reshape(1, chunks, span, n_cols)
+            return np.ascontiguousarray(
+                part.transpose(3, 1, 2, 0) if flip else part
+            )
 
         # Narrow working set, exact by construction: every heavy
-        # [M, chunks, group, N] pass runs in int16 / float32 on this
-        # sign-magnitude decomposition --
+        # [M, chunks, group, N] pass runs in int16 / float32 --
         #
         # * product exponents |ABe| <= 256 and accumulator exponents
-        #   |e| < 1100 fit int16 (sentinel far below);
-        # * the significand product +-man_a * man_b * 2^-14 carries at
-        #   most 16 significand bits, exact in float32 and, unlike the
-        #   full product value, never over- or underflows;
-        # * a grid-snapped term is an integer with |t| < 2^(frac + 2)
-        #   (ldexp to a subnormal only happens below 0.5, where rint
-        #   yields the same 0), so a round's group-sum stays strictly
-        #   below group * 2^(frac + 2) and is exact in float32 while
-        #   that bound fits its 2^24 integer ceiling.  The gate below
-        #   checks exactly that -- the paper's group of 8 runs float32
-        #   through frac_bits 19; wider accumulators or larger rounds
+        #   |e| < 1100 fit int16 (sentinel far below), and so does the
+        #   table index: row * width + column < 512 * (frac + 4), with
+        #   frac <= 51 by EngineConfig's group-sum bound;
+        # * a table entry (at most 9 significant bits) times the
+        #   parallel side's +-man_b * 2^-14 carries at most 17
+        #   significand bits, exact in float32, and the table's
+        #   columns keep every factor inside float32's normal range;
+        # * a grid-snapped term is an integer with |t| < 2^(frac + 2),
+        #   so a round's group-sum stays strictly below
+        #   group * 2^(frac + 2) and is exact in float32 while that
+        #   bound fits its 2^24 integer ceiling.  The gate below checks
+        #   exactly that -- the paper's group of 8 runs float32 through
+        #   frac_bits 19; wider accumulators or larger rounds
         #   (Pragmatic-style configs, coarse grouping sweeps) run the
         #   identical pipeline in float64.
         #
@@ -252,34 +289,29 @@ class MatmulEngine:
             if cfg.group * (1 << (frac + 2)) <= (1 << 24)
             else np.float64
         )
-        a_exp_r = a_slice(a_exp.astype(np.int16))
-        b_exp_r = b_slice(b_exp.astype(np.int16))
-        if fpraker:
-            # The flattened signed-partial LUT index (row stride 11)
-            # folds the serial side's sign and the gather's row offset
-            # into one int16 add per group.
-            a_idx_r = a_slice(((a_man + (a_sign << 8)) * 11).astype(np.int16))
-        else:
-            a_sgnman_r = a_slice(
-                np.where(a_sign == 1, -a_man, a_man).astype(man_dtype)
-            )
+        # The serial side's sign and significand select its table row;
+        # the row offset is precomputed so that one int16 add per round
+        # completes the index.
+        a_row_r = a_slice(
+            ((a_man + (a_sign << 8)) * (frac + 4)).astype(np.int16)
+        )
         b_signed_r = b_slice(
             np.ldexp(
                 np.where(b_sign == 1, -b_man, b_man).astype(man_dtype),
                 -_PRODUCT_FRAC_BITS,
             )
         )
-        return _accumulate_chunks(
-            a_exp_r,
-            b_exp_r,
-            a_idx_r if fpraker else a_sgnman_r,
+        acc = _accumulate_chunks(
+            a_slice(a_exp.astype(np.int16)),
+            b_slice(b_exp.astype(np.int16)),
+            a_row_r,
             b_signed_r,
-            _LUT_PARTIAL_SIGNED16_FLAT,
+            _scaled_table(fpraker, frac, man_dtype),
             frac,
             cfg.group,
-            fpraker,
             man_dtype,
         )
+        return acc.transpose(2, 1, 0) if flip else acc
 
     def _matmul_emulated_reference(
         self, a: np.ndarray, b: np.ndarray, fpraker: bool
@@ -344,8 +376,8 @@ class MatmulEngine:
         A term at digit position ``p`` of the serial significand has
         alignment offset ``k = (emax - ABe) + (7 - p)``; the PE skips it
         when ``k`` exceeds the accumulator's fractional width, i.e. when
-        ``p < (emax - ABe) - (acc_frac_bits - 7 - (7 - ...))`` -- for the
-        paper's 12-bit accumulator, ``p < s - 5`` with ``s = emax - ABe``.
+        ``p < (emax - ABe) - (acc_frac_bits - 7)`` -- for the paper's
+        12-bit accumulator, ``p < s - 5`` with ``s = emax - ABe``.
         """
         s = emax[:, None, :] - abe
         pmin = s - (self.config.acc_frac_bits - _BF16_FRAC)
@@ -369,24 +401,36 @@ def _leading_exponent(values: np.ndarray) -> np.ndarray:
     return np.where(magnitude > 0.0, exp.astype(np.int64) - 1, _EACC_ZERO)
 
 
-# int16 accumulator-exponent sentinel for the narrow-dtype engine: the
-# reference's -2^24 only ever loses a max() against product exponents
-# >= -508, which -2^13 does just as well inside int16.
-_EACC_ZERO16 = np.int16(-(1 << 13))
+# Lanes per block of the chunk engine's working arrays: small enough
+# that every temporary of a round stays cache-resident and is recycled
+# by the allocator instead of being paged in afresh.
+_BLOCK_LANES = 1 << 17
 
 
-def _round_finite(values: np.ndarray, frac_bits: int) -> np.ndarray:
-    """:func:`round_significand` for guaranteed-finite accumulators.
+def _round_normal(values: np.ndarray, frac_bits: int) -> np.ndarray:
+    """:func:`round_significand` for finite normal-or-zero float64 values.
 
-    The chunk engine's accumulator is always finite (grid-snapped
-    integers times bounded powers of two), so the general routine's
-    non-finite restore and errstate guard are dead weight here.  Zeros
-    come out as +0 exactly like the reference: frexp(0) is (0, 0) and
-    numpy's sign(+-0) is +0.
+    Rounds to nearest even on the bit pattern: add half an ulp of the
+    kept precision (less one unless the kept lsb is odd), then
+    truncate.  A carry out of the significand field increments the
+    exponent, which is exactly the round-up into the next binade.  The
+    chunk engine's accumulators are never subnormal (see
+    :func:`_leading_exponent16`), where this would differ from the
+    general routine; the final ``+ 0.0`` maps -0 to +0 as it does.
+    ``frac_bits`` must be below 52.
     """
-    man, exp = np.frexp(np.abs(values))
-    rounded = np.rint(np.ldexp(man, frac_bits + 1))
-    return np.ldexp(rounded, exp - 1 - frac_bits) * np.sign(values)
+    drop = 52 - frac_bits
+    bits = values.view(np.uint64)
+    rounded = bits + np.uint64((1 << (drop - 1)) - 1)
+    # The kept lsb; at frac_bits 0 that is the hidden bit, always 1.
+    if frac_bits:
+        rounded += (bits >> np.uint64(drop)) & np.uint64(1)
+    else:
+        rounded += np.uint64(1)
+    rounded &= np.uint64(((1 << 64) - 1) ^ ((1 << drop) - 1))
+    result = rounded.view(np.float64)
+    result += 0.0
+    return result
 
 
 def _leading_exponent16(values: np.ndarray) -> np.ndarray:
@@ -394,83 +438,134 @@ def _leading_exponent16(values: np.ndarray) -> np.ndarray:
 
     Accumulator values are grid-snapped integers times 2^gexp with
     ``gexp > -600``, so nonzero entries are always normal and the
-    exponent field is exact; int16 holds the whole reachable range.
+    exponent field is exact; int16 holds the whole reachable range.  A
+    zero reads as -1023, which, like the reference's sentinel, loses
+    every max() against product exponents (all >= -254).
     """
-    bits = values.view(np.uint64)
-    field = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int16)
-    return np.where(values != 0.0, field - np.int16(1023), _EACC_ZERO16)
+    field = (values.view(np.uint64) >> np.uint64(52)) & np.uint64(0x7FF)
+    return field.astype(np.int16) - np.int16(1023)
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_table(fpraker: bool, frac: int, dtype: type) -> np.ndarray:
+    """Serial-side significands pre-scaled onto the snapping grid.
+
+    Row ``man + (sign << 8)`` and column ``j`` (the alignment distance
+    ``emax - ABe``, clamped to ``cap = frac + 3``) hold the signed
+    significand the lane contributes, times ``2^(frac - j)``: in
+    ``fpraker`` mode the partial CSD sum that survives the cut
+    ``j - (frac - 7)``, in ``bf16`` mode the whole significand.  The
+    clamped column is zero, which is exact for every ``j >= cap``: the
+    ``fpraker`` cut is at least 9 there, past the top CSD digit, and
+    a ``bf16`` lane's value is below 0.5, which ``rint`` sends to 0.
+
+    Returns:
+        The flattened ``[512, frac + 4]`` table in ``dtype``, read-only
+        because every caller with the same key shares it.
+    """
+    cap = frac + 3
+    column = np.arange(cap + 1)
+    man = np.broadcast_to(np.arange(256)[:, None], (256, cap + 1))
+    if fpraker:
+        man = partial_csd_sum(man, column[None, :] - (frac - _BF16_FRAC))
+    signed = np.concatenate([man, -man]).astype(np.float64)
+    table = np.ldexp(signed, frac - column)
+    table[:, cap] = 0.0
+    flat = table.astype(dtype).ravel()
+    flat.flags.writeable = False
+    return flat
 
 
 def _accumulate_chunks(
     a_exp: np.ndarray,
     b_exp: np.ndarray,
-    a_mag: np.ndarray,
+    a_row: np.ndarray,
     b_signed: np.ndarray,
-    lut: np.ndarray,
+    table: np.ndarray,
     frac: int,
     group: int,
-    fpraker: bool,
     man_dtype: type,
 ) -> np.ndarray:
     """Run the group loop of the chunked matmul emulation.
 
+    The serial-side operands are ``[M, chunks, span, 1]`` and the
+    parallel-side ones ``[1, chunks, span, N]``, or both transposed
+    along their outer axes (``[1, chunks, span, M]`` and
+    ``[N, chunks, span, 1]``); every pass broadcasts them the same way.
+
     Args:
-        a_exp: ``[M, chunks, span]`` int16 serial-side exponents.
-        b_exp: ``[chunks, span, N]`` int16 parallel-side exponents.
-        a_mag: serial-side magnitudes ``[M, chunks, span]`` -- the
-            flattened signed-partial LUT indices (int16) in
-            ``fpraker`` mode, else signed significands in
-            ``man_dtype``.
-        b_signed: ``[chunks, span, N]`` signed parallel
-            significands scaled by ``2^-14``, in ``man_dtype``.
-        lut: the flattened signed-partial CSD table
-            (:data:`repro.encoding.booth._LUT_PARTIAL_SIGNED16_FLAT`);
-            only read in ``fpraker`` mode.
+        a_exp: int16 serial-side exponents.
+        b_exp: int16 parallel-side exponents.
+        a_row: int16 offsets of the serial side's rows in ``table``.
+        b_signed: signed parallel significands scaled by ``2^-14``,
+            in ``man_dtype``.
+        table: the mode's flattened :func:`_scaled_table`.
         frac: accumulator fractional bits.
         group: MACs per accumulation round.
-        fpraker: drop out-of-bounds CSD terms of the serial side.
         man_dtype: ``np.float32`` or ``np.float64`` -- the
             significand work dtype (exact either way by the caller's
             range guarantee, so both give identical bytes).
 
     Returns:
-        float64 ``[M, chunks, N]`` chunk-final accumulator values.
+        float64 chunk-final accumulator values, ``[M, chunks, N]`` or
+        transposed like the operands.
     """
-    m_rows, chunks, span = a_exp.shape
-    n_cols = b_exp.shape[2]
-    acc = np.zeros((m_rows, chunks, n_cols), dtype=np.float64)
+    # Rows of the outer axis are independent: run them in blocks of
+    # about _BLOCK_LANES lanes per round.
+    rows = max(a_exp.shape[0], b_exp.shape[0])
+    lanes = a_exp.shape[1] * group * max(a_exp.shape[3], b_exp.shape[3])
+    step = max(1, _BLOCK_LANES // lanes)
+    blocks = []
+    for r0 in range(0, rows, step):
+        part = [
+            op[r0 : r0 + step] if op.shape[0] > 1 else op
+            for op in (a_exp, b_exp, a_row, b_signed)
+        ]
+        blocks.append(_accumulate_block(*part, table, frac, group, man_dtype))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _accumulate_block(
+    a_exp: np.ndarray,
+    b_exp: np.ndarray,
+    a_row: np.ndarray,
+    b_signed: np.ndarray,
+    table: np.ndarray,
+    frac: int,
+    group: int,
+    man_dtype: type,
+) -> np.ndarray:
+    """One row block of :func:`_accumulate_chunks` (same arguments)."""
+    _, chunks, span, _ = a_exp.shape
+    shape = (
+        max(a_exp.shape[0], b_exp.shape[0]),
+        chunks,
+        max(a_exp.shape[3], b_exp.shape[3]),
+    )
+    # A full row of the cap: numpy's int16 minimum runs its vector
+    # loop only when both inner operands are contiguous.
+    cap = np.full(shape[2], frac + 3, dtype=np.int16)
+    acc = np.zeros(shape, dtype=np.float64)
     for lo in range(0, span, group):
         hi = min(lo + group, span)
-        # [M, chunks, group, N] product exponents.
-        abe = a_exp[:, :, lo:hi, None] + b_exp[None, :, lo:hi, :]
-        acc_exp = _leading_exponent16(acc)
-        emax = np.maximum(abe.max(axis=2), acc_exp)
-        gexp = emax - np.int16(frac)
-        if fpraker:
-            # pmin = (emax - ABe) - (frac - 7), with the constant
-            # folded into the small emax-shaped term.
-            pmin = (emax - np.int16(frac - _BF16_FRAC))[
-                :, :, None, :
-            ] - abe
-            cut = np.clip(pmin, 0, 10)
-            manprod = (
-                lut[a_mag[:, :, lo:hi, None] + cut]
-                * b_signed[None, :, lo:hi, :]
-            )
-        else:
-            manprod = (
-                a_mag[:, :, lo:hi, None]
-                * b_signed[None, :, lo:hi, :]
-            )
-        # Scale the significand product straight onto the snapping
-        # grid: value = manprod * 2^(ABe + frac - emax).
-        snapped = np.rint(
-            np.ldexp(manprod, abe - gexp[:, :, None, :])
-        )
-        total = snapped.sum(axis=2, dtype=man_dtype).astype(
-            np.float64
-        ) + np.rint(np.ldexp(acc, -gexp.astype(np.int64)))
-        acc = _round_finite(
-            np.ldexp(total, gexp.astype(np.int64)), frac
-        )
+        # Product exponents of the round, turned in place into the
+        # table index min(emax - ABe, cap) + row offset.
+        index = a_exp[:, :, lo:hi] + b_exp[:, :, lo:hi]
+        emax = np.maximum(index.max(axis=2), _leading_exponent16(acc))
+        np.subtract(emax[:, :, None], index, out=index)
+        np.minimum(index, cap, out=index)
+        index += a_row[:, :, lo:hi]
+        # Entries already sit on the grid 2^(emax - frac), so a lane's
+        # snapped value is rint(entry * b_signed).
+        snapped = table.take(index)
+        snapped *= b_signed[:, :, lo:hi]
+        np.rint(snapped, out=snapped)
+        # Scale by exact powers of two built from their bit patterns:
+        # grid exponents stay far inside float64's normal range.
+        gexp = emax.astype(np.int64) - frac
+        unscale = ((1023 - gexp) << 52).view(np.float64)
+        total = snapped.sum(axis=2, dtype=man_dtype).astype(np.float64)
+        total += np.rint(acc * unscale)
+        total *= ((gexp + 1023) << 52).view(np.float64)
+        acc = _round_normal(total, frac)
     return acc

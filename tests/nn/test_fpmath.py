@@ -40,6 +40,40 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(chunk_size=60, group=8)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"group": 0}, "group"),
+            ({"group": -8}, "group"),
+            ({"chunk_size": 0}, "chunk_size"),
+            ({"chunk_size": -64}, "chunk_size"),
+            ({"chunk_size": 4, "group": 8}, "chunk_size"),
+            ({"acc_frac_bits": -1}, "acc_frac_bits"),
+        ],
+    )
+    def test_impossible_values_name_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(mode="fpraker", **kwargs)
+
+    def test_group_sum_bound(self):
+        # group * 2**(acc_frac_bits + 2) is the group-sum bound; past
+        # 2**53 float64 can no longer hold it exactly.
+        EngineConfig(mode="bf16", acc_frac_bits=48, group=8)
+        EngineConfig(mode="bf16", acc_frac_bits=51, group=1, chunk_size=1)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            EngineConfig(mode="bf16", acc_frac_bits=49, group=8)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            EngineConfig(mode="bf16", acc_frac_bits=52, group=1)
+
+    def test_widest_accepted_accumulator_stays_exact(self, rng):
+        # frac=48 runs the float64 path at the very edge of the bound.
+        engine = MatmulEngine(EngineConfig(mode="fpraker", acc_frac_bits=48))
+        a = rng.normal(0, 1, (3, 70))
+        b = rng.normal(0, 1, (70, 2))
+        assert np.array_equal(
+            engine.matmul(a, b), engine._matmul_emulated_reference(a, b, True)
+        )
+
 
 class TestFp32Mode:
     def test_matches_float32(self, rng):
