@@ -386,9 +386,11 @@ class AcceleratorSimulator:
     """
 
     # Stacked simulate_strips calls are capped at this many
-    # (strip x row) units so the schedule's masked row-reduction
-    # intermediates stay around ten megabytes; oversized phase groups
-    # split into several calls.
+    # (strip x row) units; oversized phase groups split into several
+    # calls.  The cap bounds the strip schedule's per-row int16 buffers
+    # ([lane, strip, row, col, step]: 1 MB each for an 8x8 tile at 32
+    # steps), the largest arrays a call builds.  A larger cap buys no
+    # speed, only memory.
     _MAX_STACK_ROWS = 256
 
     def __init__(

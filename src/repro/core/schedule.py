@@ -298,92 +298,80 @@ def schedule_from_weights(
 
 def _compact_cycle_loop(
     k: np.ndarray,
-    kept: np.ndarray,
     window: int,
     sentinel: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the compacting schedule cycle loop over a group batch.
 
+    Each cycle gathers every lane's head term, takes the group's
+    minimum as the base, and fires the heads within ``window`` of it --
+    the loop of :func:`schedule_from_weights`.  Groups leave the working
+    set once they have retired their last term.
+
     Args:
-        k: ``[groups, lanes, terms]`` ascending alignment offsets,
-            sentinel-padded, int16 or int64.
-        kept: ``[groups, lanes]`` surviving term counts (int64).
+        k: ``[lanes, groups, slots]`` alignment offsets in slot order,
+            int16 or int64.  They need not ascend (the column-merged OB
+            stream does not); every slot past a lane's kept terms,
+            including the last, holds ``sentinel``.
         window: the PE shift window.
         sentinel: the "no term" offset value of ``k``'s dtype.
 
     Returns:
-        ``(cycles, useful, shift_stall, no_term)`` int64 arrays --
-        ``cycles`` of shape ``[groups]``, the rest
-        ``[groups, lanes]`` -- exactly as the reference loop in
-        :func:`schedule_from_weights` produces
-        for each group.
+        ``(cycles, busy)`` int64 arrays: schedule length per group
+        (``[groups]``, 0 for a group without terms) and the cycles each
+        lane had a term pending (``[lanes, groups]``).  Every kept term
+        fires, so these two fix the whole lane ledger: ``useful`` is
+        the kept count, ``shift_stall`` is ``busy - kept``, and
+        ``no_term`` is ``cycles - busy``.
     """
-    groups, lanes, n_terms = k.shape
-    last_slot = n_terms - 1
+    lanes, groups, slots = k.shape
     cycles = np.zeros(groups, dtype=np.int64)
-    useful = np.zeros((groups, lanes), dtype=np.int64)
-    shift_stall = np.zeros((groups, lanes), dtype=np.int64)
-    no_term = np.zeros((groups, lanes), dtype=np.int64)
-    k_live = np.ascontiguousarray(k)
-    kept_live = kept
+    busy = np.zeros((lanes, groups), dtype=np.int64)
     live = np.arange(groups)
-    index = np.zeros((groups, lanes), dtype=np.int64)
+    k_flat = np.ascontiguousarray(k).reshape(-1)
+    # Flat index of every lane's first slot, and of its head term; a
+    # lane advances by firing, and stops on its first sentinel slot.
+    head_base = (np.arange(lanes)[:, None] * groups + live) * slots
+    head = head_base.copy()
     cycles_live = np.zeros(groups, dtype=np.int64)
-    useful_live = np.zeros((groups, lanes), dtype=np.int64)
-    shift_live = np.zeros((groups, lanes), dtype=np.int64)
-    no_term_live = np.zeros((groups, lanes), dtype=np.int64)
-    # Flat gather base for the current-term lookup (cheaper than
-    # take_along_axis in the hot loop); rebuilt after each
-    # compaction.
-    flat_base = (
-        np.arange(groups)[:, None] * lanes + np.arange(lanes)
-    ) * n_terms
-    k_flat = k_live.reshape(-1)
-    while live.size:
-        pending = index < kept_live
-        alive = pending.any(axis=1)
-        n_alive = int(alive.sum())
+    busy_live = np.zeros((lanes, groups), dtype=np.int64)
+    no_fire = k.dtype.type(sentinel - 1)
+    while True:
+        current = k_flat.take(head)
+        base = current.min(axis=0)
+        alive = base != sentinel
+        n_alive = int(np.count_nonzero(alive))
         if n_alive * 5 < live.size * 3:
-            # Enough groups retired (> 40%): write their ledgers
-            # home and shrink the working set.  Compacting lazily
-            # keeps the per-iteration cost of the scatter/gather
-            # well below the ufunc work it saves; retired groups
-            # that linger until the next sweep accumulate nothing
-            # (every add below is gated).
-            done = ~alive
-            home = live[done]
-            cycles[home] = cycles_live[done]
-            useful[home] = useful_live[done]
-            shift_stall[home] = shift_live[done]
-            no_term[home] = no_term_live[done]
-            live = live[alive]
-            if not live.size:
+            # Enough groups retired (> 40%): write their ledgers home
+            # and shrink the working set.  Compacting lazily keeps the
+            # per-iteration cost of the scatter/gather well below the
+            # ufunc work it saves; retired groups that linger until the
+            # next sweep accumulate nothing (no lane is pending, and the
+            # capped fire limit below never reaches the sentinel).
+            home = live[~alive]
+            cycles[home] = cycles_live[~alive]
+            busy[:, home] = busy_live[:, ~alive]
+            if not n_alive:
                 break
-            k_live = np.ascontiguousarray(k_live[alive])
-            kept_live = kept_live[alive]
-            index = index[alive]
-            pending = pending[alive]
+            live = live[alive]
+            k_flat = np.ascontiguousarray(
+                k_flat.reshape(lanes, -1, slots)[:, alive]
+            ).reshape(-1)
+            new_base = (
+                np.arange(lanes)[:, None] * live.size + np.arange(live.size)
+            ) * slots
+            head = new_base + (head - head_base)[:, alive]
+            head_base = new_base
+            current = current[:, alive]
+            base = base[alive]
             cycles_live = cycles_live[alive]
-            useful_live = useful_live[alive]
-            shift_live = shift_live[alive]
-            no_term_live = no_term_live[alive]
-            flat_base = flat_base[: live.size]
-            k_flat = k_live.reshape(-1)
-            alive = None  # every group in the set is now alive
-        current = k_flat[flat_base + np.minimum(index, last_slot)]
-        current = np.where(pending, current, sentinel)
-        base = current.min(axis=1)
-        fire = pending & (current - base[:, None] <= window)
-        useful_live += fire
-        index += fire
-        shift_live += pending & ~fire
-        if alive is None:
-            no_term_live += ~pending
+            busy_live = busy_live[:, alive]
             cycles_live += 1
         else:
-            no_term_live += (~pending) & alive[:, None]
             cycles_live += alive
-    return cycles, useful, shift_stall, no_term
+        busy_live += current != sentinel
+        head += current <= np.minimum(base + window, no_fire)
+    return cycles, busy
 
 
 def schedule_from_weights_compact(
@@ -393,7 +381,7 @@ def schedule_from_weights_compact(
     ob_skipped: np.ndarray,
     config: PEConfig,
 ) -> ScheduleResult:
-    """Compacting variant of :func:`schedule_from_weights`.
+    """Compacting variant of :func:`schedule_from_weights`, term-major.
 
     Bit-identical per-group results (the cross-check suite enforces it),
     but groups are *evicted* from the working set the cycle after they
@@ -403,75 +391,82 @@ def schedule_from_weights_compact(
     loop behind the batched strip engine, where a whole
     ``[strip, col, step]`` stack shares one working set.
 
+    The inputs are laid out term-major and lane-major (the batched tile
+    schedule's native layout), so the closed-form fast path reduces
+    over leading contiguous slabs; only the groups it cannot resolve are
+    gathered into the ``[lane, group, slot]`` form of the cycle loop
+    (:func:`_compact_cycle_loop`).
+
     ``k`` may be int16 (sentinel :data:`_K_SENTINEL16`) or int64
     (sentinel :data:`_K_SENTINEL`): the loop's gathers and compares run
     in the given dtype, which halves the hot loop's memory traffic for
     the batched engine's int16 offsets.
 
     Args:
-        k: ``[..., lanes, MAX_TERMS]`` ascending offsets, sentinel
-            padded.
-        kept: ``[..., lanes]`` surviving term counts.
-        zero_slots: ``[..., lanes]`` never-encoded slots.
-        ob_skipped: ``[..., lanes]`` OB-discarded terms.
+        k: ``[MAX_TERMS, lanes, ...]`` offsets in slot order (they need
+            not ascend), in ``[0, sentinel)`` for a lane's first
+            ``kept`` slots and the sentinel beyond them.
+        kept: ``[lanes, ...]`` surviving term counts.
+        zero_slots: ``[lanes, ...]`` never-encoded slots.
+        ob_skipped: ``[lanes, ...]`` OB-discarded terms.
         config: PE parameters (shift window).
 
     Returns:
-        The per-group :class:`ScheduleResult` in the leading shape.
+        The per-group :class:`ScheduleResult` in the leading shape
+        ``[...]`` (lane arrays ``[..., lanes]``, as lane-last views).
     """
-    batch_shape = k.shape[:-2]
-    lanes, n_terms = k.shape[-2], k.shape[-1]
+    n_terms, lanes = k.shape[:2]
+    batch_shape = k.shape[2:]
     sentinel = _K_SENTINEL16 if k.dtype == np.int16 else _K_SENTINEL
-    k_all = np.ascontiguousarray(k.reshape(-1, lanes, n_terms))
-    kept_all = np.ascontiguousarray(kept.reshape(-1, lanes))
-    groups = k_all.shape[0]
-    cycles = np.zeros(groups, dtype=np.int64)
-    useful = np.zeros((groups, lanes), dtype=np.int64)
-    shift_stall = np.zeros((groups, lanes), dtype=np.int64)
-    no_term = np.zeros((groups, lanes), dtype=np.int64)
+    k_all = k.reshape(n_terms, lanes, -1)
+    kept_all = kept.reshape(lanes, -1)
+    groups = kept_all.shape[1]
     window = config.shift_window
     # Closed-form fast path: when every surviving offset of a group
     # lies within one shift window (its live span), each cycle's base
     # is within ``window`` of every pending head, so every pending lane
     # fires every cycle -- the schedule is simply "each lane fires its
     # kept terms back to back", in whatever order the slots hold (the
-    # column-merged offsets need not ascend).  Live slots are the
-    # prefix below ``kept``; the span is a masked min/max over them.
-    # Empty groups (no terms anywhere) fall into this bucket with zero
-    # cycles and are patched by the common no-term fix below, exactly
-    # like the loop leaves them.  Typically over half the groups of a
-    # real strip stack take this path, and the cycle loop below runs
-    # on the remainder only.
-    slot_live = np.arange(n_terms) < kept_all[:, :, None]
-    kmin = np.where(slot_live, k_all, sentinel).min(axis=(1, 2))
-    kmax = np.where(slot_live, k_all, k_all.dtype.type(-1)).max(axis=(1, 2))
+    # column-merged offsets need not ascend).  Empty groups (no terms
+    # anywhere) fall into this bucket with zero cycles and are patched
+    # by the common no-term fix below, exactly like the loop leaves
+    # them.  Typically over half the groups of a real strip stack take
+    # this path, and the cycle loop below runs on the remainder only.
+    # Dead slots hold the sentinel, so the span's minimum needs no mask;
+    # for its maximum, masking off the sentinel bit (both sentinels are
+    # powers of two, and real offsets lie in [0, sentinel)) turns dead
+    # slots into 0, which only matters for a group without live slots
+    # -- fast either way.
+    flat = k_all.reshape(-1, groups)
+    kmin = flat.min(axis=0)
+    kmax = (flat & (sentinel - 1)).max(axis=0)
     fast = kmax - kmin <= window
-    fast_cycles = np.where(fast, kept_all.max(axis=1), 0)
-    cycles = np.where(fast, fast_cycles, cycles)
-    useful = np.where(fast[:, None], kept_all, useful)
-    no_term = np.where(fast[:, None], fast_cycles[:, None] - kept_all, no_term)
+    cycles = kept_all.max(axis=0) * fast
+    busy = kept_all * fast
     slow = np.flatnonzero(~fast)
     if slow.size:
-        s_cycles, s_useful, s_shift, s_no_term = _compact_cycle_loop(
-            k_all[slow], kept_all[slow], window, sentinel
+        # [lane, group, slot] with one more sentinel slot, so a lane
+        # that retired its last term reads the sentinel.
+        k_slow = np.full(
+            (lanes, slow.size, n_terms + 1), sentinel, dtype=k_all.dtype
         )
-        cycles[slow] = s_cycles
-        useful[slow] = s_useful
-        shift_stall[slow] = s_shift
-        no_term[slow] = s_no_term
+        k_slow[:, :, :n_terms] = k_all[:, :, slow].transpose(1, 2, 0)
+        cycles[slow], busy[:, slow] = _compact_cycle_loop(
+            k_slow, window, sentinel
+        )
     # A group with no terms at all still costs its one exponent cycle,
     # with every lane idle.
-    empty = cycles == 0
-    if empty.any():
-        cycles = np.where(empty, 1, cycles)
-        no_term += empty[:, None].astype(np.int64)
-    lane_shape = batch_shape + (lanes,)
+    cycles += cycles == 0
+
+    def lane_last(values: np.ndarray) -> np.ndarray:
+        return np.moveaxis(values.reshape((lanes,) + batch_shape), 0, -1)
+
     return ScheduleResult(
         cycles=cycles.reshape(batch_shape),
-        useful=useful.reshape(lane_shape),
-        shift_stall=shift_stall.reshape(lane_shape),
-        no_term=no_term.reshape(lane_shape),
-        terms_processed=kept.reshape(lane_shape),
-        terms_zero_skipped=zero_slots.reshape(lane_shape),
-        terms_ob_skipped=ob_skipped.reshape(lane_shape),
+        useful=lane_last(kept_all.copy()),
+        shift_stall=lane_last(busy - kept_all),
+        no_term=lane_last(cycles - busy),
+        terms_processed=lane_last(kept),
+        terms_zero_skipped=lane_last(zero_slots),
+        terms_ob_skipped=lane_last(ob_skipped),
     )

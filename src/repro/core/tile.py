@@ -33,6 +33,7 @@ Two engines produce those results:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +48,12 @@ from repro.core.schedule import (
     schedule_from_weights_compact,
 )
 from repro.core.stats import LaneLedger, SimCounters, TermLedger
-from repro.encoding.booth import bf16_exponents16, bf16_strip_fields
+from repro.encoding.booth import (
+    _LUT_COUNT,
+    _LUT_Q16,
+    bf16_exponents16,
+    bf16_strip_fields,
+)
 from repro.encoding.terms import MAX_TERMS, TERM_SLOTS
 
 # Accumulator-exponent sentinel for an empty accumulator; far below any
@@ -55,27 +61,96 @@ from repro.encoding.terms import MAX_TERMS, TERM_SLOTS
 _EACC_ZERO = -(1 << 40)
 
 # The batched engine computes its offset arrays in int16 (4x less
-# memory traffic than int64 over the [strip, row, col, step] stacks).
-# Real alignment arithmetic fits easily: product exponents are in
-# [-254, 256], accumulator exponents in [-1074, 1024], so offsets never
-# exceed ~1400.  The huge sentinels of the reference path (+-1e9-scale)
-# only ever act as "beyond every comparison"; the int16 stand-ins below
-# sit beyond every *reachable* value, so each downstream clamp, compare
-# and min/max resolves identically -- the property suite cross-checks
-# this bit-for-bit against the serial reference.
-_SENT16 = _K_SENTINEL16
-# Stand-in for schedule._ZERO_ROUND_EXP: below the smallest live
-# product exponent (-252), so it loses every max() a real product wins.
-_EMAX_DEAD16 = np.int16(-300)
-# Accumulator exponents clip here before the int16 cast.  Below -320 an
-# exponent only produces offsets that clamp to zero (or lose the round
-# max) exactly like the reference's -2^40 sentinel; above 1100 is
-# unreachable for a float64 exponent.
-_EACC_CLIP_LO = -320
+# memory traffic than int64 over the [lane, strip, row, col, step]
+# stacks).  Real alignment arithmetic fits easily: product exponents
+# are in [-254, 256], accumulator exponents in [-1074, 1024], so offsets
+# never exceed ~1400.  The huge sentinels of the reference path
+# (+-1e9-scale) only ever act as "beyond every comparison"; the int16
+# stand-ins below sit beyond every *reachable* value, so each
+# downstream clamp, compare and min/max resolves identically -- the
+# property suite cross-checks this bit-for-bit against the serial
+# reference.
+# Floor of the round maximum, standing in for schedule._ZERO_ROUND_EXP
+# (a round without live pairs): below every operand-exponent sum
+# (>= -254), so every alignment base of such a round is negative, as in
+# the reference.  Accumulator exponents clip to [_EMAX_DEAD16,
+# _EACC_CLIP_HI] before the int16 cast (1100 is unreachable for a
+# float64 exponent); the round maximum never leaves that range, so
+# exponents beyond it resolve identically.
+_EMAX_DEAD16 = -300
 _EACC_CLIP_HI = 1100
-# "No surviving row" marker for the firing-offset scan: below every
-# reachable alignment base (d >= _EMAX_DEAD16 - 256 > -600).
-_DSTAR_NONE = np.int16(-1000)
+# Added to a zero operand's -127 exponent field for the round MAX: the
+# sum with any other exponent (<= 128) stays below _EMAX_DEAD16, so
+# dead pairs never win the maximum.
+_ZERO_EXP_DROP16 = np.int16(-480)
+# "No row reaches every term" base: far below every reachable alignment
+# base (d >= _EMAX_DEAD16 - 256), so base + q loses every max() against
+# a real firing offset.
+_BASE_NONE16 = np.int16(-1000)
+
+# Largest position q a lane's rows still reach, per row-class mask
+# (see _schedule_strip_columns): the lowest set class c reaches
+# q <= 7 - c; an empty mask reaches nothing.
+_REACH_Q16 = np.array(
+    [
+        7 - ((mask & -mask).bit_length() - 1) if mask else -2
+        for mask in range(1 << 9)
+    ],
+    dtype=np.int16,
+)
+# Terms of significand LUT entry ``man`` at positions q <= reach, at
+# flat index ``man * 10 + reach + 2`` (reach in [-2, 7]; padding slots
+# carry q = 8 and never count).
+_KEPT_AT_REACH = (
+    (_LUT_Q16.T[:, None, :] <= np.arange(-2, 8)[None, :, None])
+    .sum(axis=2)
+    .reshape(-1)
+)
+
+
+@lru_cache(maxsize=None)
+def _ob_firing_table(threshold: int) -> np.ndarray:
+    """OB-skipping firing offset per (row-class mask, position), flat.
+
+    Entry ``mask * 10 + q + 1`` resolves a term at position ``q`` from
+    the row classes (see ``TileSimulator._schedule_strip_columns``)
+    ``c <= 7 - q`` that still reach it:
+
+    * a window class (``c >= 1``, base ``d = threshold - 7 + c``) among
+      them: ``max(d* + q, 0)`` for the largest such ``d*``;
+    * only the every-term class 0: 0, so that the caller's
+      ``max(entry, base + q)`` yields the clamped ``max(base + q, 0)``;
+    * no class, or a padding slot (``q = 8``): the sentinel, which
+      wins that max and marks the term as skipped.
+    """
+    table = np.full((1 << 9, 10), _K_SENTINEL16, dtype=np.int16)
+    for mask in range(1 << 9):
+        for q in range(-1, 8):
+            reach = mask & ((2 << (7 - q)) - 1)  # classes c <= 7 - q
+            if reach:
+                top = reach.bit_length() - 1
+                table[mask, q + 1] = (
+                    max(threshold - 7 + top + q, 0) if top else 0
+                )
+    table.setflags(write=False)  # shared by every caller of the cache
+    return table.reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def _saturated_firing_table(cap: int) -> np.ndarray:
+    """No-skip firing offset per (clipped base, position), flat.
+
+    Entry ``(d + 7) * 10 + q + 1`` is ``min(max(d + q, 0), cap)`` for
+    the binding base ``d`` clipped to ``[-7, cap + 1]`` -- beyond that
+    range every real position (``q`` in [-1, 7]) clamps the same way --
+    and the sentinel for a padding slot (``q = 8``).
+    """
+    table = np.full((cap + 9, 10), _K_SENTINEL16, dtype=np.int16)
+    for d in range(-7, cap + 2):
+        for q in range(-1, 8):
+            table[d + 7, q + 1] = min(max(d + q, 0), cap)
+    table.setflags(write=False)  # shared by every caller of the cache
+    return table.reshape(-1)
 
 
 @dataclass
@@ -382,91 +457,124 @@ class TileSimulator:
         Identical synchronization semantics -- firing gated by the row
         needing the largest shift, OB skipping by the row that still
         reaches the term (column-synchronized OB) -- computed without
-        ever materializing the reference path's per-row term arrays.
-        Every per-term quantity is a *monotone* function of the per-PE
-        alignment base ``d = emax - ABe``: a term's clamped offset
-        ``max(d + q, 0)`` grows with ``d``, so
+        the reference path's per-row term arrays.  Every per-term
+        quantity is a *monotone* function of the per-PE alignment base
+        ``d = emax - ABe``: a term at significand position ``q`` has
+        clamped offset ``max(d + q, 0)`` and is in bounds in a row iff
+        ``d <= threshold - q``.  So a term fires at the clamp of the
+        largest base among the rows that still reach it, and the
+        column skips it when no row does.
 
-        * the row keeping the most terms (the column's OB count) is
-          exactly the row with the smallest ``d``;
-        * the firing offset (largest offset among rows that still reach
-          the term) is the clamp of the largest *surviving* ``d``.
+        Operand fields are extracted lane-major (``[lane, strip, ...]``)
+        and term-major (``[term, lane, ...]``), so every reduction --
+        over lanes for ``emax``, over rows for the bases -- is an
+        elementwise op over leading contiguous slabs, and the per-row
+        arrays are built in place in one int16 buffer.  Real positions
+        span ``q`` in [-1, 7], which splits a lane's rows into classes:
 
-        That turns the reference's per-row int64 term expansion into a
-        ``[strip, row, col, step, lane]`` int16 base array plus term-axis
-        work on the un-broadcast ``[strip, col, step, lane, term]``
-        shape; the only row-by-term intermediate is the int16 masked
-        operand of the ``dstar`` max-reduction, whose size callers bound
-        by chunking oversized strip stacks
-        (:data:`AcceleratorSimulator._MAX_STACK_ROWS`).  Everything is
-        loop-free over rows.  The property suite cross-checks the result
-        bit-for-bit against :meth:`_schedule_columns`.
+        * class 0, ``d <= threshold - 7``: reaches every term; the
+          class's largest base (``base``) is one row reduction;
+        * class ``c`` in 1..8, ``d = threshold - 7 + c``: reaches the
+          terms with ``q <= 7 - c``;
+        * ``d > threshold + 1``: reaches no term.
+
+        One ``bitwise_or`` reduction over rows folds the classes into a
+        per-lane 9-bit mask.  The mask's lowest class fixes the lane's
+        kept count (OB skips a suffix, since ``q`` ascends within a
+        lane), and per term a ``[mask, q]`` table
+        (:func:`_ob_firing_table`) gives the window classes' firing
+        offset, or defers to ``base + q``, or the sentinel for a skipped
+        or padding slot.  Row-by-term work drops to rows + terms per
+        lane.  Without OB skipping the binding base is the row maximum,
+        and :func:`_saturated_firing_table` applies the clamps.  The
+        property suite cross-checks the result bit-for-bit against
+        :meth:`_schedule_columns`.
         """
-        strips, cols, steps, lanes = a_chunks.shape
-        rows = b_chunks.shape[1]
         cfg = self.config.pe
-        # One bit-pattern pass per operand side covers the exponent
-        # adders' view and (for the serial side) the term expansion.
-        a_exp, a_zero, count, q = bf16_strip_fields(a_chunks)
-        b_exp, b_zero = bf16_exponents16(b_chunks)
-        # [strip, row, col, step, lane]: product exponents per PE; dead
-        # (zero x anything) pairs drop out of the round MAX.
-        abe = a_exp[:, None, :, :, :] + b_exp[:, :, None, :, :]
-        dead = a_zero[:, None, :, :, :] | b_zero[:, :, None, :, :]
-        emax = np.where(dead, _EMAX_DEAD16, abe).max(axis=-1)
-        eacc16 = np.clip(eacc, _EACC_CLIP_LO, _EACC_CLIP_HI).astype(np.int16)
-        emax = np.maximum(emax, eacc16)
-        # Alignment base of every PE lane; per-term offsets are
-        # max(d + q, 0) with q the term's significand position.
-        d = emax[..., None] - abe
-        slot = np.arange(MAX_TERMS, dtype=np.int64)
-        valid = slot < count[..., None]
+        # Lane-major fields: [lane, strip, col, step] for the serial
+        # side, [lane, strip, row, step] for the parallel side; term
+        # positions q are [term, lane, strip, col, step].
+        a_exp, a_zero, man = bf16_strip_fields(a_chunks.transpose(3, 0, 1, 2))
+        b_exp, b_zero = bf16_exponents16(b_chunks.transpose(3, 0, 1, 2))
+        count = _LUT_COUNT.take(man)
+        q = _LUT_Q16.take(man, axis=1)
+        # Round maximum per PE, [strip, row, col, step]: zero operands
+        # drop out of the lane MAX (their sums fall below _EMAX_DEAD16),
+        # and the accumulator exponent joins it.
+        emax = np.maximum.reduce(
+            (a_exp + a_zero * _ZERO_EXP_DROP16)[:, :, None, :, :]
+            + (b_exp + b_zero * _ZERO_EXP_DROP16)[:, :, :, None, :],
+            axis=0,
+        )
+        np.maximum(
+            emax,
+            np.clip(eacc, _EMAX_DEAD16, _EACC_CLIP_HI).astype(np.int16),
+            out=emax,
+        )
+        # [lane, strip, row, col, step] product exponents; every
+        # per-row array below reuses this buffer in place.
+        rel = a_exp[:, :, None, :, :] + b_exp[:, :, :, None, :]
         zero_slots = TERM_SLOTS - count
         threshold = cfg.accumulator.ob_threshold
         if cfg.ob_skip:
-            # A term survives in row r iff max(d_r + q, 0) <= threshold,
-            # i.e. (threshold >= 0) iff d_r <= threshold - q: the
-            # smallest-d row keeps the most terms, and column-
-            # synchronized OB skips exactly its out-of-bounds count.
-            dmin = d.min(axis=1)
-            col_ob = (valid & (dmin[..., None] > threshold - q)).sum(axis=-1)
-            col_kept = count - col_ob
-            # The firing offset is gated by the largest surviving base:
-            # a masked max-reduction over the row axis (rows that exceed
-            # the threshold drop to the "no survivor" sentinel, which
-            # loses every max against a surviving base).
-            limit = threshold - q
-            surviving = np.where(
-                d[:, :, :, :, :, None] <= limit[:, None], d[..., None], _DSTAR_NONE
-            )
-            dstar = surviving.max(axis=1)
-            k_fire = np.where(
-                valid & (dstar > _DSTAR_NONE),
-                np.maximum(dstar + q, 0),
-                _SENT16,
-            )
+            lo = threshold - 7
+            # rel = lo - d.  As uint16 the every-term rows (rel >= 0)
+            # order below all others, so one min-reduction finds their
+            # largest base.
+            np.subtract(rel, emax - lo, out=rel)
+            urel = rel.view(np.uint16)
+            vmin = np.minimum.reduce(urel, axis=2).view(np.int16)
+            base = np.where(vmin >= 0, np.int16(lo) - vmin, _BASE_NONE16)
+            # rel = d - lo, and 1 << rel sets bit c for a window row of
+            # class c (and bit 0 for d == lo).  numpy defines shifts by
+            # 16 bits or more as 0, which clears every-term rows (they
+            # wrap) and rows far above the window; rows just above it
+            # land in bits 9-15 and are masked off.
+            np.negative(rel, out=rel)
+            np.left_shift(np.uint16(1), urel, out=urel)
+            mask = np.bitwise_or.reduce(urel, axis=2)
+            mask &= np.uint16(0x1FF)  # classes 0-8
+            mask |= vmin >= 0
+            # The smallest-d row keeps the most terms (a prefix, as q
+            # ascends), and column-synchronized OB skips the rest.
+            reach = _REACH_Q16.take(mask)
+            col_kept = _KEPT_AT_REACH.take(man * 10 + reach + 2)
+            col_ob = count - col_kept
+            # Firing offsets, one term slab at a time (it stays in
+            # cache): the window rows' offset from the table, or the
+            # every-term rows' clamped base + q, or the sentinel.
+            table = _ob_firing_table(threshold)
+            row = mask.view(np.int16) * 10 + 1
+            k_fire = np.empty(q.shape, dtype=np.int16)
+            for term in range(MAX_TERMS):
+                np.maximum(
+                    table.take(row + q[term]),
+                    base + q[term],
+                    out=k_fire[term],
+                )
         else:
             # No skipping: every row realizes every term, the binding
             # row is simply the largest base, saturated at the datapath
             # reach (max(d + q, 0) then min(.., cap) is monotone in d).
-            col_ob = np.zeros((strips, cols, steps, lanes), dtype=np.int64)
+            np.subtract(emax, rel, out=rel)
+            dmax = np.maximum.reduce(rel, axis=2)
+            col_ob = np.zeros_like(count)
             col_kept = count
             cap = (
                 threshold + cfg.shift_window
                 if cfg.saturate_shifts
-                # int() keeps the minimum in int16 (the module constant
-                # is an int64 scalar, which would promote the array).
+                # int() keeps the clip below in int16 (the module
+                # constant is an int64 scalar, which would promote it).
                 else int(_MAX_ALIGNMENT)
             )
-            dmax = d.max(axis=1)
-            k_fire = np.where(
-                valid,
-                np.minimum(np.maximum(dmax[..., None] + q, 0), cap),
-                _SENT16,
-            )
-        # k_fire stays int16 end to end: the compact cycle loop treats
-        # any >= _SENT16 entry as "no term", so no int64 widening pass
-        # is needed between the schedule build and the loop.
+            table = _saturated_firing_table(cap)
+            row = (np.clip(dmax, -7, cap + 1) + 7) * 10 + 1
+            k_fire = np.empty(q.shape, dtype=np.int16)
+            for term in range(MAX_TERMS):
+                table.take(row + q[term], out=k_fire[term])
+        # k_fire stays int16 end to end: the compact cycle loop reads
+        # it in its own dtype, so no int64 widening pass is needed
+        # between the schedule build and the loop.
         return schedule_from_weights_compact(
             k_fire, col_kept, zero_slots, col_ob, cfg
         )

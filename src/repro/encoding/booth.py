@@ -113,35 +113,38 @@ def _man_index(values: np.ndarray) -> np.ndarray:
 
 
 # Alignment positions q = 7 - power per LUT slot, precomputed in int16
-# for the tile schedule's hot path (padding slots carry q = 8, one past
-# any real position, so a padded limit loses every comparison a real
-# term could win).
-_LUT_Q16 = (7 - _LUT_POWER).astype(np.int16)
+# for the tile schedule's hot path and stored term-major (``[slot,
+# man]``) so a lookup lands in the schedule's term-major layout.
+# Padding slots carry q = 8, one past any real position.
+_LUT_Q16 = np.ascontiguousarray((7 - _LUT_POWER).astype(np.int16).T)
 
 
 def bf16_strip_fields(
     values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Serial-side operand fields for the tile schedule, one bit pass.
 
     Shares a single float32 bit-pattern extraction between the exponent
-    adders' view of the operand and its CSD term expansion.
+    adders' view of the operand and its CSD term expansion (the LUT
+    index feeds :data:`_LUT_COUNT` and :data:`_LUT_Q16`).
 
     Args:
-        values: bfloat16-representable array, any shape ``S``.
+        values: bfloat16-representable array, any shape ``S`` (the tile
+            schedule passes a lane-major view).
 
     Returns:
-        ``(exp16, is_zero, count, q16)``: int16 exponents as the adders
-        read them (zeros -> -127), the zero mask, int64 term counts,
-        and int16 alignment positions ``7 - power`` (8 past ``count``).
+        ``(exp16, is_zero, man_idx)`` of shape ``S``: int16 exponents as
+        the adders read them (zeros -> -127), the zero mask, and the
+        intp LUT index of each significand (0 for zero values).
     """
     bits = np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
     field = (bits >> np.uint32(23)) & np.uint32(0xFF)
     is_zero = field == 0
     exp16 = field.astype(np.int16) - np.int16(127)
     man = ((bits >> np.uint32(16)) & np.uint32(0x7F)) + np.uint32(128)
-    man_idx = np.where(is_zero, np.uint32(0), man).astype(np.int64)
-    return exp16, is_zero, _LUT_COUNT[man_idx], _LUT_Q16[man_idx]
+    # Multiplying by the nonzero flag beats a select on random masks.
+    man_idx = (man * ~is_zero).astype(np.intp)
+    return exp16, is_zero, man_idx
 
 
 def bf16_exponents16(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ Glossary used throughout:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,25 +80,57 @@ def exact_product(a: float, b: float) -> Product:
     return Product(sign=sign, exp=int(ea) + int(eb), sig=int(ma) * int(mb))
 
 
+# Widest accumulator fraction an AccumulatorSpec accepts: wider than any
+# datapath alignment the simulators realize (48 positions), so a wider
+# register could not change a single result, while keeping the OB
+# threshold far inside the timing model's int16 offset arithmetic.
+MAX_FRAC_BITS = 64
+
+
+def _check_width(
+    name: str, value: object, low: int, high: int | None = None
+) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer
+    in ``[low, high]`` (no upper bound when ``high`` is None)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AccumulatorSpec:
     """Geometry of the extended accumulator.
 
     Attributes:
         frac_bits: fractional bits after the binary point (paper: 12 =
-            9 extended + 3 rounding).  This is also the out-of-bounds
-            threshold: aligned term weights beyond ``frac_bits`` positions
-            below ``emax`` cannot affect the stored value.
+            9 extended + 3 rounding), in ``[0, MAX_FRAC_BITS]``.  This is
+            also the out-of-bounds threshold: aligned term weights beyond
+            ``frac_bits`` positions below ``emax`` cannot affect the
+            stored value.
         int_bits: integer bits above the binary point (paper: 4,
-            absorbing the worst-case carry of 8 products).
+            absorbing the worst-case carry of 8 products); at least 1.
         chunk_size: number of MACs accumulated before the running value
             is flushed into the higher-precision outer sum (Sakr et al.,
-            chunk size 64).
+            chunk size 64); at least 1.
+
+    Raises:
+        ValueError: naming the field, when a width is not an integer in
+            its range.
     """
 
     frac_bits: int = 12
     int_bits: int = 4
     chunk_size: int = 64
+
+    def __post_init__(self) -> None:
+        _check_width("frac_bits", self.frac_bits, 0, MAX_FRAC_BITS)
+        _check_width("int_bits", self.int_bits, 1)
+        _check_width("chunk_size", self.chunk_size, 1)
 
     @property
     def total_bits(self) -> int:

@@ -39,6 +39,7 @@ from repro.core.config import (
     pragmatic_paper_config,
 )
 from repro.core.pragmatic import PragmaticFPAccelerator
+from repro.fp.accumulator import AccumulatorSpec
 from repro.harness.cache import ResultCache
 from repro.traces.workloads import build_workloads
 
@@ -102,10 +103,20 @@ class SimRequest:
         nodes: int = 1,
         partition: str = "data",
     ) -> "SimRequest":
-        """Normalize loose arguments (dict profile) into a request."""
+        """Normalize loose arguments (dict profile) into a request.
+
+        Raises:
+            ValueError: naming the layer, when an ``acc_profile`` width
+                is not a valid :class:`AccumulatorSpec` ``frac_bits``.
+        """
         profile = (
             tuple(sorted(acc_profile.items())) if acc_profile else None
         )
+        for layer, frac_bits in profile or ():
+            try:
+                AccumulatorSpec(frac_bits=frac_bits)
+            except ValueError as exc:
+                raise ValueError(f"acc_profile[{layer!r}]: {exc}") from None
         return SimRequest(
             model=model,
             config=config,
@@ -259,16 +270,19 @@ class SimRequest:
                 "field 'partition' must be one of 'data', 'model', "
                 f"'pipeline', got {partition!r}"
             )
-        return cls.make(
-            model=model,
-            config=config,
-            progress=float(progress),
-            seed=seed,
-            acc_profile=profile_dict,
-            phases=phases,
-            nodes=nodes,
-            partition=partition,
-        )
+        try:
+            return cls.make(
+                model=model,
+                config=config,
+                progress=float(progress),
+                seed=seed,
+                acc_profile=profile_dict,
+                phases=phases,
+                nodes=nodes,
+                partition=partition,
+            )
+        except ValueError as exc:  # an out-of-range acc_profile width
+            raise WireFormatError(f"field {exc}") from None
 
 
 def canonical_key(

@@ -137,7 +137,8 @@ class TestLeadingBatchDims:
 
     def test_compact_loop_matches_plain(self, rng):
         """schedule_from_weights_compact is the batched engine's loop:
-        identical per-group outcomes to schedule_from_weights."""
+        identical per-group outcomes to schedule_from_weights (fed the
+        same weights in its term-major, lane-major layout)."""
         from repro.core.schedule import (
             group_term_weights,
             schedule_from_weights,
@@ -148,11 +149,14 @@ class TestLeadingBatchDims:
         config = PEConfig()
         k, kept, zero_slots, ob, _ = group_term_weights(a, b, None, config)
         plain = schedule_from_weights(k, kept, zero_slots, ob, config)
-        compact = schedule_from_weights_compact(k, kept, zero_slots, ob, config)
+        compact = schedule_from_weights_compact(
+            k.transpose(2, 1, 0), kept.T, zero_slots.T, ob.T, config
+        )
         assert np.array_equal(plain.cycles, compact.cycles)
         assert np.array_equal(plain.useful, compact.useful)
         assert np.array_equal(plain.shift_stall, compact.shift_stall)
         assert np.array_equal(plain.no_term, compact.no_term)
+        assert np.array_equal(plain.terms_ob_skipped, compact.terms_ob_skipped)
 
 
 class TestOperandExponents:

@@ -5,7 +5,10 @@ offsets span at most one shift window) and an int16 mode; both must
 stay bit-identical to `schedule_from_weights` for arbitrary slot
 contents -- including non-ascending offsets, which the column-merged
 tile schedule genuinely produces when the binding row changes between
-slots.
+slots.  The compact builder takes the tile schedule's term-major,
+lane-major layout (``k[term, lane, group]``, ``kept[lane, group]``);
+each case builds the reference's ``[group, lane, term]`` arrays and
+hands the builder their transposes.
 """
 
 import numpy as np
@@ -21,6 +24,13 @@ from repro.core.schedule import (
 )
 
 _FIELDS = ("cycles", "useful", "shift_stall", "no_term")
+
+
+def _compact(k, kept, zero, config):
+    """`schedule_from_weights_compact` on reference-layout arrays."""
+    return schedule_from_weights_compact(
+        k.transpose(2, 1, 0), kept.T, zero.T, zero.T, config
+    )
 
 
 def _random_case(seed, groups, lanes, n_terms, kmax):
@@ -48,9 +58,7 @@ class TestCompactEqualsReference:
         k, kept, zero = _random_case(seed, groups, lanes, n_terms, kmax)
         config = PEConfig(shift_window=window)
         ref = schedule_from_weights(k.copy(), kept.copy(), zero, zero, config)
-        got = schedule_from_weights_compact(
-            k.copy(), kept.copy(), zero, zero, config
-        )
+        got = _compact(k.copy(), kept.copy(), zero, config)
         for field in _FIELDS:
             assert (getattr(got, field) == getattr(ref, field)).all(), field
 
@@ -62,7 +70,7 @@ class TestCompactEqualsReference:
         )
         config = PEConfig(shift_window=3)
         ref = schedule_from_weights(k, kept, zero, zero, config)
-        got = schedule_from_weights_compact(k16, kept, zero, zero, config)
+        got = _compact(k16, kept, zero, config)
         for field in _FIELDS:
             assert (getattr(got, field) == getattr(ref, field)).all(), field
 
@@ -71,9 +79,7 @@ class TestCompactEqualsReference:
         k, kept, zero = _random_case(5, 30, 4, 3, 2)
         config = PEConfig(shift_window=8)
         ref = schedule_from_weights(k.copy(), kept.copy(), zero, zero, config)
-        got = schedule_from_weights_compact(
-            k.copy(), kept.copy(), zero, zero, config
-        )
+        got = _compact(k.copy(), kept.copy(), zero, config)
         for field in _FIELDS:
             assert (getattr(got, field) == getattr(ref, field)).all(), field
         assert (got.cycles == kept.max(axis=1).clip(min=1)).all()
@@ -82,7 +88,7 @@ class TestCompactEqualsReference:
         k = np.full((6, 4, 3), _K_SENTINEL)
         kept = np.zeros((6, 4), dtype=np.int64)
         zero = np.zeros((6, 4), dtype=np.int64)
-        got = schedule_from_weights_compact(k, kept, zero, zero, PEConfig())
+        got = _compact(k, kept, zero, PEConfig())
         assert (got.cycles == 1).all()
         assert (got.no_term == 1).all()
         assert (got.useful == 0).all()

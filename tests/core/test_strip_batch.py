@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.config import PEConfig, TileConfig
 from repro.core.pragmatic import PragmaticFPAccelerator
-from repro.core.tile import TileSimulator
+from repro.core.tile import _EACC_ZERO, TileSimulator
 from repro.core.tile_memo import DEFAULT_TILE_MEMO
 from repro.core.workload import PhaseWorkload
-from repro.fp.accumulator import AccumulatorSpec
+from repro.fp.accumulator import MAX_FRAC_BITS, AccumulatorSpec
 from repro.fp.bfloat16 import bf16_quantize
 
 
@@ -156,15 +156,88 @@ class TestBatchedEqualsSerial:
             sim.simulate_strips(np.zeros((0, 8, 4, 8)), np.zeros((0, 8, 4, 8)))
 
 
+_SCHEDULE_FIELDS = (
+    "cycles",
+    "useful",
+    "shift_stall",
+    "no_term",
+    "terms_processed",
+    "terms_zero_skipped",
+    "terms_ob_skipped",
+)
+
+# Accumulator widths for the window oracle: the paper's 12, the extremes
+# of the accepted range, and widths whose OB window straddles zero.
+_FRAC_BITS = (0, 1, 5, 9, 12, 15, 23, MAX_FRAC_BITS)
+
+# Probe significands (value = s / 128): 255 = 2^8 - 1 puts a term at
+# q = -1 and one at q = 7; the others cover single-term, dense and
+# alternating CSD patterns across q = 0..7.
+_PROBES = (255, 128, 192, 171, 129, 213, 240)
+
+# Exponent of the anchor product every window row shares (above any
+# probed base, so every probe product stays a normal bfloat16).
+_ANCHOR_EXP = 70
+
+
+def _window_stack(d_rows, probes):
+    """One-step strip whose lane-0 alignment bases are exactly ``d_rows``.
+
+    Column ``c`` streams the probe significand ``probes[c]`` in lane 0
+    and a 1.0 anchor in lane 1.  Row ``r`` broadcasts ``2^A`` in lane 1
+    (so every live PE's round maximum is ``A``) and ``2^(A - d_r)`` in
+    lane 0, which puts the probe's alignment base at ``d_r``.  A final
+    row of zero B operands is all dead.
+    """
+    rows, cols = len(d_rows) + 1, len(probes)
+    a = np.zeros((1, cols, 1, 8))
+    a[0, :, 0, 0] = np.asarray(probes) / 128.0
+    a[0, :, 0, 1] = 1.0
+    b = np.zeros((1, rows, 1, 8))
+    b[0, :-1, 0, 0] = 2.0 ** (_ANCHOR_EXP - np.asarray(d_rows))
+    b[0, :-1, 0, 1] = 2.0**_ANCHOR_EXP
+    return a, b
+
+
+def _window_config(a, b, frac_bits, ob_skip, window=3):
+    return TileConfig(
+        rows=b.shape[1],
+        cols=a.shape[1],
+        pe=PEConfig(
+            ob_skip=ob_skip,
+            shift_window=window,
+            accumulator=AccumulatorSpec(frac_bits=frac_bits),
+        ),
+    )
+
+
+def _assert_schedule_matches_serial(config, a, b, eacc=None):
+    """Every schedule field of the loop-free path == `_schedule_columns`
+    per strip (eacc defaults to the operands' own evolution)."""
+    from repro.core.tile import accumulator_exponents
+
+    if eacc is None:
+        eacc = accumulator_exponents(a, b)
+    sim = TileSimulator(config)
+    batched = sim._schedule_strip_columns(a, b, eacc)
+    for i in range(a.shape[0]):
+        ref = sim._schedule_columns(a[i], b[i], eacc[i])
+        for field in _SCHEDULE_FIELDS:
+            got = getattr(batched, field)[i]
+            want = getattr(ref, field).reshape(got.shape)
+            assert (got == want).all(), field
+
+
 class TestLoopFreeStripSchedule:
     """The loop-free column schedule vs the serial `_schedule_columns`.
 
-    `_schedule_strip_columns` derives the firing offsets through a
-    masked max-reduction over the row axis (no Python row loop) on
+    `_schedule_strip_columns` resolves column-synchronized OB from a
+    per-lane row-class mask and a firing table (no Python row loop) on
     int16 bit-extracted operand fields; these tests pin it directly --
     schedule arrays, not just aggregated counters -- against the int64
-    per-row reference across geometries, depths, PE variants, and
-    degenerate streams.
+    per-row reference across geometries, accumulator widths, PE
+    variants, degenerate streams, and row bases placed exactly on the
+    edges of the OB window.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -180,6 +253,7 @@ class TestLoopFreeStripSchedule:
         saturate=st.booleans(),
         window=st.integers(1, 8),
         warm=st.sampled_from([None, 1.0, 1e6]),
+        frac_bits=st.sampled_from(_FRAC_BITS),
     )
     def test_schedule_bit_identical(
         self,
@@ -194,6 +268,7 @@ class TestLoopFreeStripSchedule:
         saturate,
         window,
         warm,
+        frac_bits,
     ):
         from repro.core.tile import accumulator_exponents
 
@@ -204,6 +279,7 @@ class TestLoopFreeStripSchedule:
                 ob_skip=ob_skip,
                 saturate_shifts=saturate,
                 shift_window=window,
+                accumulator=AccumulatorSpec(frac_bits=frac_bits),
             ),
         )
         a, b, rng = _strip_stack(
@@ -212,23 +288,81 @@ class TestLoopFreeStripSchedule:
         initial = (
             None if warm is None else rng.normal(0, warm, (strips, rows, cols))
         )
-        sim = TileSimulator(config)
         eacc = accumulator_exponents(a, b, initial)
-        batched = sim._schedule_strip_columns(a, b, eacc)
-        for i in range(strips):
-            ref = sim._schedule_columns(a[i], b[i], eacc[i])
-            for field in (
-                "cycles",
-                "useful",
-                "shift_stall",
-                "no_term",
-                "terms_processed",
-                "terms_zero_skipped",
-                "terms_ob_skipped",
-            ):
-                got = getattr(batched, field)[i]
-                want = getattr(ref, field).reshape(got.shape)
-                assert (got == want).all(), field
+        _assert_schedule_matches_serial(config, a, b, eacc)
+
+    @pytest.mark.parametrize("ob_skip", [True, False])
+    @pytest.mark.parametrize("frac_bits", _FRAC_BITS)
+    def test_window_edges(self, frac_bits, ob_skip):
+        """Every row base from threshold - 9 to threshold + 3 -- so
+        exactly threshold - 7, threshold - q for each position q, and
+        threshold + 1 -- against probes covering q = -1 (significand
+        255) through q = 7, plus an all-dead row."""
+        d_rows = [
+            d for d in range(frac_bits - 9, frac_bits + 4) if d >= 0
+        ]
+        a, b = _window_stack(d_rows, _PROBES)
+        config = _window_config(a, b, frac_bits, ob_skip)
+        _assert_schedule_matches_serial(config, a, b)
+
+    @pytest.mark.parametrize("ob_skip", [True, False])
+    @pytest.mark.parametrize(
+        "eacc_value",
+        [_EACC_ZERO, -301, -300, -299, 0, 40, 1023, 1100, 1101],
+    )
+    def test_eacc_clip_bounds(self, eacc_value, ob_skip):
+        """Accumulator exponents at, just inside and just beyond both
+        int16 clip bounds, with live, window and all-dead rows."""
+        d_rows = [0, 3, 4, 5, 6, 12, 13, 20]
+        a, b = _window_stack(d_rows, _PROBES)
+        config = _window_config(a, b, 12, ob_skip)
+        eacc = np.full((1, b.shape[1], a.shape[1], 1), eacc_value)
+        _assert_schedule_matches_serial(config, a, b, eacc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frac_bits=st.sampled_from(_FRAC_BITS),
+        offsets=st.lists(st.integers(-10, 4), min_size=1, max_size=16),
+        probes=st.lists(st.integers(128, 255), min_size=1, max_size=4),
+        ob_skip=st.booleans(),
+        window=st.integers(1, 8),
+    )
+    def test_window_row_subsets(
+        self, frac_bits, offsets, probes, ob_skip, window
+    ):
+        """Arbitrary row bases around the threshold (any subset of the
+        window classes, repeats included) for arbitrary significands."""
+        d_rows = [max(frac_bits + offset, 0) for offset in offsets]
+        a, b = _window_stack(d_rows, probes)
+        config = _window_config(a, b, frac_bits, ob_skip, window)
+        _assert_schedule_matches_serial(config, a, b)
+
+    def test_dead_pairs_never_set_the_round_maximum(self):
+        """A zero operand beside a huge partner must not outvote a tiny
+        live product in the round MAX, on either operand side."""
+        a = np.zeros((1, 2, 2, 8))
+        b = np.zeros((1, 2, 2, 8))
+        a[0, :, :, 0] = 2.0**-100  # live, tiny: product 2^-220
+        b[0, :, :, 0] = 2.0**-120
+        b[0, :, :, 1] = 2.0**127  # A zero: dead
+        a[0, :, :, 2] = 2.0**127  # B zero: dead
+        a[0, 1, :, 3] = 1.5 * 2.0**-110  # a second live product
+        b[0, :, :, 3] = 2.0**-100
+        for ob_skip in (True, False):
+            config = TileConfig(rows=2, cols=2, pe=PEConfig(ob_skip=ob_skip))
+            _assert_schedule_matches_serial(config, a, b)
+
+    def test_all_dead_lanes(self):
+        """Zero B operands in every lane of some rows: those PEs' round
+        maximum sits at the dead-round stand-in and their bases go
+        negative, in both OB modes."""
+        a, b, _ = _strip_stack(3, 2, 8, 4, 6, 3, 0.0)
+        b[:, ::2] = 0.0
+        for ob_skip in (True, False):
+            config = TileConfig(
+                rows=8, cols=4, pe=PEConfig(ob_skip=ob_skip)
+            )
+            _assert_schedule_matches_serial(config, a, b)
 
 
 def _cold(simulator, workloads):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fp.accumulator import (
+    MAX_FRAC_BITS,
     AccumulatorSpec,
     ChunkAccumulator,
     ExtendedAccumulator,
@@ -17,6 +18,31 @@ from repro.fp.accumulator import (
     rne_shift_right,
 )
 from repro.fp.bfloat16 import bf16_quantize
+
+
+class TestAccumulatorSpecValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("frac_bits", -1),
+            ("frac_bits", MAX_FRAC_BITS + 1),
+            ("frac_bits", 40000),
+            ("frac_bits", 12.0),
+            ("frac_bits", True),
+            ("int_bits", 0),
+            ("chunk_size", 0),
+            ("chunk_size", -64),
+        ],
+    )
+    def test_out_of_range_width_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AccumulatorSpec(**{field: value})
+
+    def test_range_bounds_accepted(self):
+        spec = AccumulatorSpec(frac_bits=0, int_bits=1, chunk_size=1)
+        assert spec.total_bits == 1
+        assert AccumulatorSpec(frac_bits=MAX_FRAC_BITS).ob_threshold == 64
+        assert AccumulatorSpec(frac_bits=np.int64(9)).frac_bits == 9
 
 
 class TestRneShiftRight:

@@ -70,6 +70,35 @@ class TestCanonicalKey:
         assert canonical_key(r1, 4, 32, 1234) == canonical_key(r2, 4, 32, 1234)
 
 
+class TestAccProfileValidation:
+    """Out-of-range accumulator widths fail at the request, naming the
+    layer and field, instead of deep inside the strip schedule."""
+
+    @pytest.mark.parametrize("frac_bits", [40000, -5, 65])
+    def test_make_rejects_out_of_range_width(self, frac_bits):
+        from repro.core.config import AcceleratorConfig
+        from repro.models.zoo import get_model
+
+        layer = get_model("NCF").layers[0].name
+        with pytest.raises(ValueError, match=rf"{layer}.*frac_bits"):
+            SimRequest.make(
+                "NCF", AcceleratorConfig(), 0.5, 0, {layer: frac_bits}
+            )
+
+    def test_api_simulate_rejects_before_simulating(self):
+        from repro import api
+
+        session = _quick_session()
+        with pytest.raises(ValueError, match="frac_bits"):
+            api.simulate("NCF", acc_profile={"fc": 40000}, session=session)
+        assert session.stats.simulations == 0
+
+    @pytest.mark.parametrize("frac_bits", [0, 64])
+    def test_make_accepts_range_bounds(self, frac_bits):
+        request = SimRequest.make("NCF", acc_profile={"fc": frac_bits})
+        assert request.acc_profile == (("fc", frac_bits),)
+
+
 class TestResultSerialization:
     def test_workload_result_round_trip_exact(self):
         result = _simulated_result()

@@ -226,6 +226,15 @@ class TestHttpErrors:
         )
         assert status == 400 and "progress" in body["error"]
 
+    @pytest.mark.parametrize("frac_bits", [40000, -5])
+    def test_out_of_range_acc_profile_is_400(self, url, frac_bits):
+        """An accumulator width outside AccumulatorSpec's range is a
+        client error, not a crash inside the strip schedule."""
+        request = {"model": "NCF", "acc_profile": [["fc", frac_bits]]}
+        status, body = _post(url, "/simulate", {"request": request})
+        assert status == 400
+        assert "acc_profile" in body["error"] and "frac_bits" in body["error"]
+
     def test_client_surfaces_daemon_error(self, url):
         # A malformed sweep entry reaches the daemon over the raw
         # transport (the public sweep() validates client-side first);

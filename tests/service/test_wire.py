@@ -67,6 +67,8 @@ class TestSimRequestWireForm:
             ({"acc_profile": [["fc"]]}, "acc_profile"),
             ({"nodes": 0}, "nodes"),
             ({"partition": "diagonal"}, "partition"),
+            ({"acc_profile": [["fc", 40000]]}, "acc_profile.*frac_bits"),
+            ({"acc_profile": [["fc", -5]]}, "acc_profile.*frac_bits"),
         ],
     )
     def test_field_validation_names_the_field(self, patch, needle):
