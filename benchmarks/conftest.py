@@ -1,10 +1,15 @@
 """Benchmark helpers: run each experiment once and print its table."""
 
 import pathlib
+import sys
 
 import pytest
 
 RESULTS_FILE = pathlib.Path(__file__).parent / "results" / "latest.txt"
+
+# The reference engines some timing gates compare against are test
+# oracles (``strip_oracles``); they live beside the tests that pin them.
+sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "tests" / "core"))
 
 
 def run_once(benchmark, func, *args, **kwargs):

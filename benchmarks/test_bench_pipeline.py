@@ -29,6 +29,7 @@ import pathlib
 import time
 
 from conftest import show
+from strip_oracles import unstacked_workload
 
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.baseline import BaselineAccelerator
@@ -87,9 +88,9 @@ def _run_legacy():
                     workloads
                 )
             else:
-                result = AcceleratorSimulator(
-                    config, phase_stacking=False, **SAMPLING
-                ).simulate_workload(workloads)
+                result = unstacked_workload(
+                    AcceleratorSimulator(config, **SAMPLING), workloads
+                )
             results.append(result)
     return results
 

@@ -11,6 +11,7 @@ the acceptance bar for the batching refactor is a >= 3x cold speedup.
 import time
 
 from conftest import show
+from strip_oracles import serial_workload
 
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.tile import TileSimulator
@@ -31,7 +32,7 @@ def _best_of(fn, repeats=5):
     return best
 
 
-def test_strip_engine_speedup(benchmark):
+def test_tile_batch_speedup(benchmark):
     """Tile-level engine: one batched pass vs the per-strip loop."""
     import numpy as np
 
@@ -80,23 +81,22 @@ def test_strip_engine_speedup(benchmark):
 def test_fig11_class_cold_simulation_speedup(benchmark):
     """Workload-level: a cold fig11-class model simulation end to end."""
     workloads = build_workloads(MODEL, progress=0.5, seed=0)
-    batched_sim = AcceleratorSimulator(strip_engine="batched")
-    serial_sim = AcceleratorSimulator(strip_engine="serial")
+    sim = AcceleratorSimulator()
 
     def batched_cold():
         # Every batched run starts with an empty tile-outcome memo, so
         # the timing compares engines, not memo hits (the serial
-        # reference is never memoized).
+        # reference never consults the memo).
         DEFAULT_TILE_MEMO.clear()
-        return batched_sim.simulate_workload(workloads)
+        return sim.simulate_workload(workloads)
 
     batched = benchmark.pedantic(batched_cold, rounds=3, iterations=1)
-    serial = serial_sim.simulate_workload(workloads)
+    serial = serial_workload(sim, workloads)
     # The engines must agree bit for bit before their times may be
     # compared.
     assert batched.to_dict() == serial.to_dict()
     t_batched = _best_of(batched_cold, 3)
-    t_serial = _best_of(lambda: serial_sim.simulate_workload(workloads), 3)
+    t_serial = _best_of(lambda: serial_workload(sim, workloads), 3)
     speedup = t_serial / t_batched
     table = Table(
         f"Cold {MODEL} training-step simulation (default sampling)",

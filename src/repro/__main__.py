@@ -30,13 +30,14 @@ transposer occupancy) instead of the flat roofline.
 ``serve`` runs the same simulation machinery as a long-lived HTTP
 daemon over a shared sqlite result store (see ``docs/SERVICE.md``); it
 takes the same ``--jobs/--cache/--workload-cache/--memory-engine``
-session flags as ``run`` -- a ``--cache`` directory warmed by prior
-``repro run`` invocations is migrated into the store on startup.
+session flags as ``run`` -- ``run --cache DIR`` and ``serve --cache
+DIR`` share one store file, ``DIR/results.sqlite``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import sys
@@ -158,8 +159,8 @@ def _session_flags() -> argparse.ArgumentParser:
         "--cache",
         metavar="DIR",
         default=None,
-        help="persist simulation results under DIR (warm reruns; "
-        "`serve` migrates DIR's entries into its shared store)",
+        help="persist simulation results in DIR/results.sqlite (warm "
+        "reruns; `run` and `serve` share the store)",
     )
     parent.add_argument(
         "--workload-cache",
@@ -276,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="result-store location: a directory or a .sqlite file "
-        "(default: --cache when given, else .repro-store)",
+        "(default: CACHE/results.sqlite when --cache is given, else "
+        ".repro-store)",
     )
     return parser
 
@@ -284,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _serve(args) -> int:
     """The ``repro serve`` handler: open the store, run the daemon.
 
-    The daemon shares ``run``'s session flags; a ``--cache`` directory
-    warmed by prior CLI runs is migrated into the store before serving.
+    The daemon shares ``run``'s session flags; without ``--store`` it
+    serves ``--cache``'s ``results.sqlite``, the file ``repro run
+    --cache`` fills.
 
     Args:
         args: parsed ``serve`` arguments.
@@ -294,9 +297,11 @@ def _serve(args) -> int:
         Process exit code.
     """
     from repro.service.daemon import run_daemon
-    from repro.service.store import ResultStore, StoreError
+    from repro.service.store import STORE_FILENAME, ResultStore, StoreError
 
-    store_path = args.store or args.cache or ".repro-store"
+    store_path = args.store or (
+        Path(args.cache) / STORE_FILENAME if args.cache else ".repro-store"
+    )
     config = SessionConfig(
         jobs=args.jobs,
         memory_engine=args.memory_engine,
@@ -309,14 +314,6 @@ def _serve(args) -> int:
     except StoreError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
-    if args.cache is not None:
-        imported = store.import_legacy(args.cache)
-        if imported:
-            print(
-                f"repro serve: imported {imported} entries from "
-                f"{args.cache}",
-                flush=True,
-            )
     try:
         return run_daemon(config, store, host=args.host, port=args.port)
     except OSError as exc:
@@ -395,41 +392,50 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and Path(value).exists() and not Path(value).is_dir():
             print(f"{flag} {value!r} is not a directory", file=sys.stderr)
             return 2
-    session = SimulationSession(
-        config=SessionConfig(
-            jobs=args.jobs,
-            cache_dir=args.cache,
-            memory_engine=args.memory_engine,
-            workload_cache=(
-                args.workload_cache if args.workload_cache is not None else True
-            ),
+    from repro.service.store import StoreError
+
+    try:
+        session = SimulationSession(
+            config=SessionConfig(
+                jobs=args.jobs,
+                cache_dir=args.cache,
+                memory_engine=args.memory_engine,
+                workload_cache=(
+                    args.workload_cache
+                    if args.workload_cache is not None
+                    else True
+                ),
+            )
         )
-    )
+    except StoreError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     suffix = "json" if args.format == "json" else "txt"
     json_out = {}
-    for name in names:
-        func = EXPERIMENTS[name]
-        kwargs = {}
-        if args.models and name in _MODEL_AWARE:
-            kwargs["models"] = tuple(args.models)
-        if name == "scaleout":
-            if args.nodes:
-                kwargs["nodes"] = tuple(args.nodes)
-            if args.partition:
-                kwargs["partition"] = args.partition
-        if _accepts_session(func):
-            kwargs["session"] = session
-        result = func(**kwargs)
-        if args.format == "json":
-            json_out[name] = _payload(result)
-        else:
-            _show(result)
-        if out_dir is not None:
-            path = out_dir / f"{name}.{suffix}"
-            path.write_text(_render(result, args.format))
+    with contextlib.closing(session):
+        for name in names:
+            func = EXPERIMENTS[name]
+            kwargs = {}
+            if args.models and name in _MODEL_AWARE:
+                kwargs["models"] = tuple(args.models)
+            if name == "scaleout":
+                if args.nodes:
+                    kwargs["nodes"] = tuple(args.nodes)
+                if args.partition:
+                    kwargs["partition"] = args.partition
+            if _accepts_session(func):
+                kwargs["session"] = session
+            result = func(**kwargs)
+            if args.format == "json":
+                json_out[name] = _payload(result)
+            else:
+                _show(result)
+            if out_dir is not None:
+                path = out_dir / f"{name}.{suffix}"
+                path.write_text(_render(result, args.format))
     if args.format == "json":
         # One parseable document: the bare artifact for a single
         # experiment, an object keyed by experiment id for several.

@@ -356,24 +356,6 @@ class AcceleratorSimulator:
         sample_steps: reduction groups per strip (capped by the layer's
             actual reduction length).
         seed: RNG seed for operand sampling (results are deterministic).
-        strip_engine: ``"batched"`` simulates all sampled strips in one
-            :meth:`TileSimulator.simulate_strips` pass; ``"serial"``
-            runs the per-strip reference loop.  Both consume the same
-            operand draw and produce bit-identical results (cross-checked
-            in the test suite).  The batched engine reuses the outcome
-            of any operand stack the process has already simulated
-            (:mod:`repro.core.tile_memo`); the serial reference always
-            recomputes.
-        phase_stacking: when the batched engine is active,
-            :meth:`simulate_workload` concatenates the strip stacks of
-            every phase sharing a tile geometry and step count into one
-            multi-phase :meth:`TileSimulator.simulate_strips` call
-            (memory-bounded via :data:`_MAX_STACK_ROWS`), paying the
-            numpy dispatch and schedule-loop overhead once per stack
-            instead of once per phase.  Strips are independent, so the
-            per-phase results are bit-identical to the unstacked path
-            (cross-checked in the test suite); ``False`` keeps the
-            one-call-per-phase behaviour.
         memory_engine: ``"roofline"`` (the reference) prices off-chip
             traffic as flat bytes-over-bandwidth; ``"hierarchy"`` runs
             the event-level traffic engine
@@ -401,12 +383,8 @@ class AcceleratorSimulator:
         sample_strips: int = 8,
         sample_steps: int = 32,
         seed: int = 1234,
-        strip_engine: str = "batched",
-        phase_stacking: bool = True,
         memory_engine: str = "roofline",
     ) -> None:
-        if strip_engine not in ("batched", "serial"):
-            raise ValueError(f"unknown strip engine {strip_engine!r}")
         if memory_engine not in ("roofline", "hierarchy"):
             raise ValueError(f"unknown memory engine {memory_engine!r}")
         self.config = config if config is not None else fpraker_paper_config()
@@ -415,8 +393,6 @@ class AcceleratorSimulator:
         self.sample_strips = sample_strips
         self.sample_steps = sample_steps
         self.seed = seed
-        self.strip_engine = strip_engine
-        self.phase_stacking = phase_stacking
         self.memory_engine = memory_engine
 
     def _prepare_phase(self, workload: PhaseWorkload) -> _PhasePrep:
@@ -503,27 +479,7 @@ class AcceleratorSimulator:
             The scaled :class:`LayerPhaseResult`.
         """
         prep = self._prepare_phase(workload)
-        if self.strip_engine == "serial":
-            # Reference path: one strip at a time, identical operands,
-            # never memoized (it is the oracle the memo is checked
-            # against).
-            simulator = TileSimulator(prep.tile_cfg)
-            sampled = SimCounters()
-            total_steps = 0
-            total_makespan = 0
-            for i in range(prep.strips):
-                result = simulator.simulate_strip(
-                    prep.a_stack[i],
-                    prep.b_stack[i],
-                    None if prep.initial_sums is None else prep.initial_sums[i],
-                )
-                sampled.add(result.counters)
-                total_steps += result.steps
-                total_makespan += result.makespan
-        else:
-            ((sampled, total_steps, total_makespan),) = self._tile_outcomes(
-                [prep]
-            )
+        ((sampled, total_steps, total_makespan),) = self._tile_outcomes([prep])
         return self._finish_phase(prep, sampled, total_steps, total_makespan)
 
     def _finish_phase(
@@ -589,9 +545,9 @@ class AcceleratorSimulator:
     ) -> WorkloadResult:
         """Simulate a full list of layer-phases.
 
-        Under the batched engine with ``phase_stacking`` (the default),
-        phases sharing a tile geometry and step count run as one
-        multi-phase strip stack -- bit-identical to simulating each
+        Phases sharing a tile geometry and step count run as one
+        multi-phase strip stack (memory-bounded via
+        :data:`_MAX_STACK_ROWS`) -- bit-identical to simulating each
         phase alone, since strips are independent -- and phases whose
         operand stacks were already simulated in this process skip the
         tile engine.
@@ -610,10 +566,6 @@ class AcceleratorSimulator:
             name=self.config.name,
             model=model or workloads[0].model,
         )
-        if self.strip_engine != "batched" or not self.phase_stacking:
-            for workload in workloads:
-                result.phases.append(self.simulate_phase(workload))
-            return result
         preps = [self._prepare_phase(workload) for workload in workloads]
         result.phases = [
             self._finish_phase(prep, *outcome)

@@ -337,7 +337,7 @@ def run_fig12_energy(
     session = _session_for(
         session, models, (None,), progress, seed, memory_engine=memory_engine
     )
-    hierarchy = session.memory_engine == "hierarchy"
+    hierarchy = session.config.memory_engine == "hierarchy"
     headers = ["Model", "Compute", "Control", "Accumulation", "On-chip",
                "Off-chip", "Total vs baseline"]
     if hierarchy:
@@ -463,7 +463,7 @@ def run_fig15_stalls(
         with_baseline=False,
         memory_engine=memory_engine,
     )
-    hierarchy = session.memory_engine == "hierarchy"
+    hierarchy = session.config.memory_engine == "hierarchy"
     headers = ["Model", "useful", "no term", "shift range", "inter-PE",
                "exponent"]
     if hierarchy:

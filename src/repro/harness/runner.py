@@ -12,8 +12,10 @@ simulations -- the baseline and a few FPRaker variants per Table-I model
   :class:`concurrent.futures.ProcessPoolExecutor` (``jobs > 1``), with
   bit-identical results to a serial run because every simulation is a
   deterministic function of its key;
-* optionally **persists** results to disk (:class:`ResultCache`), so a
-  repeated ``python -m repro run`` starts warm.
+* optionally **persists** results in the sqlite
+  :class:`repro.service.store.ResultStore` at ``cache_dir/results.sqlite``
+  -- the same file ``repro serve --cache`` opens -- so a repeated
+  ``python -m repro run`` starts warm.
 
 Experiments call :meth:`SimulationSession.prefetch` with their full
 request list up front (enabling the parallel fan-out), then read each
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -40,7 +41,6 @@ from repro.core.config import (
 )
 from repro.core.pragmatic import PragmaticFPAccelerator
 from repro.fp.accumulator import AccumulatorSpec
-from repro.harness.cache import ResultCache
 from repro.traces.workloads import build_workloads
 
 # Version of SimRequest's public wire form (``to_dict``/``from_dict``).
@@ -408,17 +408,15 @@ def _fspath_field(name: str, value: object) -> str:
 class SessionConfig:
     """Every knob of a :class:`SimulationSession`, as one frozen value.
 
-    The stable public form of the session's former seven loose keyword
-    arguments: validated on construction, hashable, and shared verbatim
-    by the in-process API (:mod:`repro.api`), the CLI, and the
-    ``repro serve`` daemon -- one configuration object for every front
-    end.
+    Validated on construction, hashable, and shared verbatim by the
+    in-process API (:mod:`repro.api`), the CLI, and the ``repro serve``
+    daemon -- one configuration object for every front end.
 
     Attributes:
         jobs: worker processes for prefetch fan-out (values below 1 are
-            clamped to serial, matching the legacy constructor).
-        cache_dir: directory for on-disk result persistence (None
-            disables it).
+            clamped to serial).
+        cache_dir: directory whose ``results.sqlite`` result store
+            persists results across sessions (None disables it).
         sample_strips: operand strips sampled per layer-phase.
         sample_steps: reduction groups per strip.
         sim_seed: operand-sampling RNG seed.
@@ -554,7 +552,7 @@ class SessionStats:
 
     Attributes:
         hits: requests answered from the in-memory memo.
-        disk_hits: requests answered from the on-disk cache.
+        disk_hits: requests answered from the on-disk result store.
         simulations: cold simulations actually executed -- the
             acceptance counter: equals the number of *unique* requests
             a session has seen (minus disk hits).
@@ -568,90 +566,40 @@ class SessionStats:
 class SimulationSession:
     """Memoizing, optionally parallel front end to all simulators.
 
-    The primary constructor takes one :class:`SessionConfig`::
+    Construct with one :class:`SessionConfig`::
 
         session = SimulationSession(config=SessionConfig(jobs=4))
 
-    The original seven loose keyword arguments (``jobs``, ``cache_dir``,
-    ``sample_strips``, ``sample_steps``, ``sim_seed``,
-    ``memory_engine``, ``workload_cache`` -- see the matching
-    :class:`SessionConfig` fields for their semantics) still construct
-    a session, but emit a :class:`DeprecationWarning`; new code should
-    build a :class:`SessionConfig` (or call :func:`repro.api.session`).
-
     Args:
-        config: the session configuration (None with no legacy keywords
-            = all defaults).
-        jobs: deprecated -- use ``config``.
-        cache_dir: deprecated -- use ``config``.
-        sample_strips: deprecated -- use ``config``.
-        sample_steps: deprecated -- use ``config``.
-        sim_seed: deprecated -- use ``config``.
-        memory_engine: deprecated -- use ``config``.
-        workload_cache: deprecated -- use ``config``.
+        config: the session configuration (None = all defaults).
+
+    Raises:
+        repro.service.store.StoreError: when ``config.cache_dir`` holds
+            a ``results.sqlite`` the result store cannot use.
     """
 
-    def __init__(
-        self,
-        config: SessionConfig | None = None,
-        cache_dir: str | os.PathLike | None = None,
-        sample_strips: int | None = None,
-        sample_steps: int | None = None,
-        sim_seed: int | None = None,
-        memory_engine: str | None = None,
-        workload_cache: bool | str | os.PathLike | None = None,
-        jobs: int | None = None,
-    ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("jobs", jobs),
-                ("cache_dir", cache_dir),
-                ("sample_strips", sample_strips),
-                ("sample_steps", sample_steps),
-                ("sim_seed", sim_seed),
-                ("memory_engine", memory_engine),
-                ("workload_cache", workload_cache),
-            )
-            if value is not None
-        }
-        if config is not None and not isinstance(config, SessionConfig):
-            # Positional legacy form: the first parameter used to be
-            # `jobs`.  Shift it into the legacy keyword set.
-            legacy.setdefault("jobs", config)
-            config = None
-        if config is not None and legacy:
-            raise TypeError(
-                "pass either config=SessionConfig(...) or the legacy "
-                "keyword arguments, not both: got config= and "
-                + ", ".join(sorted(legacy))
-            )
+    def __init__(self, config: SessionConfig | None = None) -> None:
         if config is None:
-            if legacy:
-                warnings.warn(
-                    "SimulationSession's loose keyword arguments "
-                    f"({', '.join(sorted(legacy))}) are deprecated; "
-                    "construct with "
-                    "SimulationSession(config=SessionConfig(...)) or "
-                    "repro.api.session(...)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            config = SessionConfig(**legacy)
+            config = SessionConfig()
+        elif not isinstance(config, SessionConfig):
+            raise TypeError(
+                "SimulationSession takes config=SessionConfig(...), got "
+                f"{type(config).__name__}"
+            )
         self.config = config
-        self.jobs = config.jobs
-        self.sample_strips = config.sample_strips
-        self.sample_steps = config.sample_steps
-        self.sim_seed = config.sim_seed
-        self.memory_engine = config.memory_engine
-        self.workload_cache_spec = config.workload_cache_spec
-        self.disk = (
-            ResultCache(config.cache_dir)
-            if config.cache_dir is not None
-            else None
-        )
+        self.disk = None
+        if config.cache_dir is not None:
+            # Imported here: the service package imports this module.
+            from repro.service.store import STORE_FILENAME, ResultStore
+
+            self.disk = ResultStore(Path(config.cache_dir) / STORE_FILENAME)
         self.stats = SessionStats()
         self._memo: dict[str, WorkloadResult] = {}
+
+    def close(self) -> None:
+        """Close the result store, if the session opened one."""
+        if self.disk is not None:
+            self.disk.close()
 
     # -- lookup ------------------------------------------------------------
 
@@ -659,10 +607,10 @@ class SimulationSession:
         """Canonical key of a request under this session's sampling."""
         return canonical_key(
             request,
-            self.sample_strips,
-            self.sample_steps,
-            self.sim_seed,
-            self.memory_engine,
+            self.config.sample_strips,
+            self.config.sample_steps,
+            self.config.sim_seed,
+            self.config.memory_engine,
         )
 
     @property
@@ -769,7 +717,7 @@ class SimulationSession:
     def prefetch(self, requests: list[SimRequest]) -> None:
         """Ensure every request's result is in the memo.
 
-        Deduplicates, consults the disk cache, then runs the remaining
+        Deduplicates, consults the result store, then runs the remaining
         cold simulations -- over the process pool when ``jobs > 1``.
         Results are identical to serial execution because each
         simulation is a deterministic function of its request.
@@ -792,19 +740,20 @@ class SimulationSession:
         if not todo:
             return
         items = list(todo.items())
-        if self.jobs == 1 or len(items) == 1:
+        config = self.config
+        if config.jobs == 1 or len(items) == 1:
             results = [self._execute(request) for _, request in items]
         else:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
                 futures = [
                     pool.submit(
                         execute_request,
                         request,
-                        self.sample_strips,
-                        self.sample_steps,
-                        self.sim_seed,
-                        self.memory_engine,
-                        self.workload_cache_spec,
+                        config.sample_strips,
+                        config.sample_steps,
+                        config.sim_seed,
+                        config.memory_engine,
+                        config.workload_cache_spec,
                     )
                     for _, request in items
                 ]
@@ -838,9 +787,9 @@ class SimulationSession:
         self.stats.simulations += 1
         return execute_request(
             request,
-            self.sample_strips,
-            self.sample_steps,
-            self.sim_seed,
-            self.memory_engine,
-            self.workload_cache_spec,
+            self.config.sample_strips,
+            self.config.sample_steps,
+            self.config.sim_seed,
+            self.config.memory_engine,
+            self.config.workload_cache_spec,
         )

@@ -9,10 +9,10 @@ statically ties the key constructors to their input surfaces:
 * the parameters of a key-constructor function (``canonical_key``,
   ``workload_key``) must all appear as keys of the spec dict it builds;
 * the fields of :class:`SimRequest`, the parameters of
-  ``execute_request``, and the parameters of
-  ``SimulationSession.__init__`` (minus the documented non-key knobs:
-  parallelism and cache plumbing) must appear in ``canonical_key``'s
-  spec -- they are the full set of values that reach a simulator;
+  ``execute_request``, and the fields of :class:`SessionConfig` (minus
+  the documented non-key knobs: parallelism and cache plumbing) must
+  appear in ``canonical_key``'s spec -- they are the full set of values
+  that reach a simulator;
 * the spec must be serialized with ``json.dumps(..., sort_keys=True)``
   so the key is independent of dict construction order.
 
@@ -85,14 +85,6 @@ def _required_from_class_fields(classdef: ast.ClassDef) -> list[str]:
     ]
 
 
-def _init_of(classdef: ast.ClassDef) -> ast.FunctionDef | None:
-    """The class's ``__init__`` method, if directly defined."""
-    for stmt in classdef.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
-            return stmt
-    return None
-
-
 @register
 class CacheKeyRule(Rule):
     """Statically enforce canonical-cache-key completeness."""
@@ -136,16 +128,12 @@ class CacheKeyRule(Rule):
                 "execute_request parameter",
                 param_names(execute),
             )
-        session = defs.get("SimulationSession")
-        if isinstance(session, ast.ClassDef):
-            init = _init_of(session)
-            if init is not None:
-                yield from self._check_surface(
-                    canonical,
-                    spec,
-                    "SimulationSession knob",
-                    param_names(init),
-                )
+        yield from self._check_surface(
+            canonical,
+            spec,
+            "SessionConfig field",
+            self._class_fields(defs.get("SessionConfig")),
+        )
 
     def _class_fields(self, node: ast.AST | None) -> list[str]:
         """Annotated fields of a class node (empty when absent)."""

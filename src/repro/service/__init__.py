@@ -10,11 +10,12 @@ from the same shared store with byte-identical results.
 
 Modules:
 
-* :mod:`repro.service.store` -- sqlite-backed shared result store
-  (generalizes the per-file JSON :class:`repro.harness.cache.ResultCache`),
-  ``CACHE_VERSION``-aware eviction, legacy-cache importer.
+* :mod:`repro.service.store` -- sqlite-backed result store, the one
+  persistence layer (``repro run --cache`` sessions open it too),
+  ``CACHE_VERSION``-aware eviction.
 * :mod:`repro.service.wire` -- versioned JSON wire schema shared by the
-  daemon and the client (envelopes, result encoding, error shapes).
+  daemon and the client (envelopes, the one result codec, error
+  shapes).
 * :mod:`repro.service.daemon` -- the asyncio HTTP daemon behind
   ``repro serve``: request dedup, in-flight coalescing, worker-pool
   fan-out, ``hit|miss|pending`` provenance.

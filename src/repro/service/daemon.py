@@ -33,7 +33,6 @@ import queue
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 
-from repro.harness.cache import CACHE_VERSION
 from repro.harness.runner import (
     SessionConfig,
     SessionStats,
@@ -43,7 +42,7 @@ from repro.harness.runner import (
     execute_request,
 )
 from repro.service import wire
-from repro.service.store import ResultStore
+from repro.service.store import CACHE_VERSION, ResultStore
 
 # Upper bound on accepted request bodies (16 MiB covers the largest
 # realistic sweep envelope by orders of magnitude).
@@ -66,8 +65,8 @@ class ServiceDaemon:
         config: session configuration every simulation runs under --
             the daemon-side analogue of constructing one
             :class:`SimulationSession` for all clients.  ``jobs`` sizes
-            the worker pool; ``cache_dir`` is ignored (the store
-            replaces the per-file JSON cache).
+            the worker pool; ``cache_dir`` is ignored (the caller
+            opens ``store``).
         store: the shared result store to dedup against.
         use_processes: run cold simulations on a process pool (the
             production path).  False uses a thread pool -- identical

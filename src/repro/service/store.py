@@ -1,26 +1,25 @@
-"""Sqlite-backed shared result store.
+"""Sqlite-backed result store: the one persistence layer for results.
 
-The generalization of :class:`repro.harness.cache.ResultCache` (one
-JSON file per key) into a single-file store the ``repro serve`` daemon
-can share across many clients and worker restarts:
+``repro run --cache DIR`` (through
+:class:`repro.harness.runner.SimulationSession`) and ``repro serve``
+both persist simulation results here, so a directory warmed by one
+front end serves the other from the same ``DIR/results.sqlite``:
 
-* **same contract** -- keys are the canonical simulation keys of
+* **canonical keys** -- keys are the canonical simulation keys of
   :func:`repro.harness.runner.canonical_key`; values round-trip through
-  the same kind-tagged ``to_dict``/``from_dict`` JSON the file cache
-  uses, so a loaded result is bit-identical to the simulated one;
-* **version-aware** -- every row records the
-  :data:`repro.harness.cache.CACHE_VERSION` it was written under;
-  rows from other versions read as misses and are swept by
-  :meth:`ResultStore.evict_stale` (run automatically on open);
+  the kind-tagged ``to_dict``/``from_dict`` JSON of
+  :func:`repro.service.wire.encode_result` /
+  :func:`repro.service.wire.decode_result`, so a loaded result is
+  bit-identical to the simulated one;
+* **version-aware** -- every row records the :data:`CACHE_VERSION` it
+  was written under; rows from other versions read as misses and are
+  swept by :meth:`ResultStore.evict_stale` (run automatically on open);
 * **single-writer / multi-reader safe** -- WAL journaling plus a busy
   timeout let any number of reader connections coexist with one
   writer; writes are additionally serialized per instance with a lock
   so one store object can be shared across threads;
 * **self-healing** -- a row whose payload no longer parses is deleted
-  on first read and reported as a miss instead of poisoning the store;
-* **importable** -- :meth:`ResultStore.import_legacy` migrates an
-  existing ``--cache`` directory of per-file JSON entries in one call,
-  preserving results byte-for-byte.
+  on first read and reported as a miss instead of poisoning the store.
 """
 
 from __future__ import annotations
@@ -31,8 +30,16 @@ import sqlite3
 import threading
 from pathlib import Path
 
-from repro.core.accelerator import WorkloadResult
-from repro.harness.cache import CACHE_VERSION
+from repro.service.wire import decode_result, encode_result
+
+# Bump when the result schema or simulator semantics change; stale
+# rows from older versions then read as misses instead of poisoning
+# warm runs.
+# v2: canonical keys carry the memory engine and counters may embed a
+# MemoryTrafficResult (hierarchy runs).
+# v3: canonical keys carry nodes/partition and entries carry a "kind"
+# tag (scale-out results persist alongside single-node ones).
+CACHE_VERSION = 3
 
 # Name of the sqlite file when the store is given a directory.
 STORE_FILENAME = "results.sqlite"
@@ -54,31 +61,6 @@ CREATE TABLE IF NOT EXISTS meta (
     value TEXT NOT NULL
 );
 """
-
-
-def _encode(result) -> tuple[str, str]:
-    """(kind tag, JSON payload) of one result object."""
-    kind = "workload" if isinstance(result, WorkloadResult) else "scaleout"
-    return kind, json.dumps(result.to_dict())
-
-
-def _decode(kind: str, payload: str):
-    """Deserialize one row's payload by its kind tag.
-
-    Returns:
-        The result object, or None when the payload is malformed.
-    """
-    try:
-        data = json.loads(payload)
-        if kind == "scaleout":
-            from repro.scale.scaleout import ScaleOutResult
-
-            return ScaleOutResult.from_dict(data)
-        if kind == "workload":
-            return WorkloadResult.from_dict(data)
-        return None
-    except (KeyError, TypeError, ValueError):
-        return None
 
 
 class StoreError(RuntimeError):
@@ -133,6 +115,7 @@ class ResultStore:
                 )
                 self._conn.commit()
             elif row[0] != str(STORE_SCHEMA):
+                self._conn.close()
                 raise StoreError(
                     f"{self.path} uses store schema {row[0]}, this build "
                     f"speaks schema {STORE_SCHEMA}"
@@ -166,15 +149,16 @@ class ResultStore:
         version, kind, payload = row
         if version != CACHE_VERSION:
             return None
-        result = _decode(kind, payload)
-        if result is None:
+        try:
+            return decode_result(kind, json.loads(payload))
+        except (TypeError, ValueError):
             # Malformed row: heal by deleting it.
             with self._lock:
                 self._conn.execute(
                     "DELETE FROM results WHERE key = ?", (key,)
                 )
                 self._conn.commit()
-        return result
+            return None
 
     def store(self, key: str, result) -> None:
         """Persist one result under its canonical key (upsert).
@@ -183,12 +167,13 @@ class ResultStore:
             key: canonical simulation key.
             result: a :class:`WorkloadResult` or ``ScaleOutResult``.
         """
-        kind, payload = _encode(result)
+        encoded = encode_result(result)
+        payload = json.dumps(encoded["result"])
         with self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO results "
                 "(key, version, kind, payload) VALUES (?, ?, ?, ?)",
-                (key, CACHE_VERSION, kind, payload),
+                (key, CACHE_VERSION, encoded["kind"], payload),
             )
             self._conn.commit()
 
@@ -224,51 +209,6 @@ class ResultStore:
             )
             self._conn.commit()
         return cursor.rowcount
-
-    def import_legacy(self, cache_dir: str | os.PathLike) -> int:
-        """Migrate a per-file JSON ``--cache`` directory into the store.
-
-        Reads every ``*.json`` entry the directory-backed
-        :class:`repro.harness.cache.ResultCache` wrote, skips entries
-        that are unreadable or from another ``CACHE_VERSION``, and
-        upserts the rest.  The result payload is carried over verbatim
-        (the entry's already-serialized ``result`` object), so a
-        migrated result deserializes byte-identical to the original.
-
-        Args:
-            cache_dir: directory of a legacy ``ResultCache``.
-
-        Returns:
-            The number of entries imported.
-        """
-        root = Path(cache_dir)
-        if not root.is_dir():
-            return 0
-        imported = 0
-        for entry in sorted(root.glob("*.json")):
-            try:
-                payload = json.loads(entry.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if not isinstance(payload, dict):
-                continue
-            if payload.get("version") != CACHE_VERSION:
-                continue
-            key = payload.get("key")
-            result = payload.get("result")
-            if not isinstance(key, str) or not isinstance(result, dict):
-                continue
-            kind = payload.get("kind", "workload")
-            with self._lock:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO results "
-                    "(key, version, kind, payload) VALUES (?, ?, ?, ?)",
-                    (key, CACHE_VERSION, kind, json.dumps(result)),
-                )
-            imported += 1
-        with self._lock:
-            self._conn.commit()
-        return imported
 
     def stats(self) -> dict:
         """Store accounting for ``/stats`` (entries, staleness, location)."""

@@ -152,10 +152,11 @@ def parse_sweep(payload: dict) -> tuple[list[SimRequest], bool]:
 
 
 def encode_result(result) -> dict:
-    """Kind-tag and serialize one result for a response envelope.
+    """Kind-tag and serialize one result.
 
-    The same kind-tagged shape the stores persist, so client-side
-    decoding and store decoding share one contract.
+    The one result codec: response envelopes carry this shape and
+    :class:`repro.service.store.ResultStore` persists it (the kind in a
+    column, the serialized ``result`` as the row payload).
 
     Args:
         result: a :class:`WorkloadResult` or ``ScaleOutResult``.
@@ -168,11 +169,12 @@ def encode_result(result) -> dict:
 
 
 def decode_result(kind: str, data: dict):
-    """Deserialize a response envelope's result by its kind tag.
+    """Deserialize a result by its kind tag (inverse of
+    :func:`encode_result`).
 
     Args:
         kind: ``"workload"`` or ``"scaleout"``.
-        data: the ``result`` object of the envelope.
+        data: the ``result`` object of an envelope or store row.
 
     Returns:
         The deserialized result object.

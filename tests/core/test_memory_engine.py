@@ -7,12 +7,14 @@ roofline's (container padding only adds bytes), and results from either
 engine survive the session's JSON persistence byte for byte.
 """
 
+import contextlib
 import json
+import sqlite3
 
 import pytest
 
 from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
-from repro.harness.runner import SimRequest, SimulationSession
+from repro.harness.runner import SessionConfig, SimRequest, SimulationSession
 from repro.memory.dram import DRAMModel
 from repro.memory.traffic import phase_traffic
 from repro.models.zoo import STUDIED_MODELS
@@ -25,6 +27,19 @@ QUICK = dict(sample_strips=2, sample_steps=8)
 
 # One pure-fc, one mixed, and one all-conv geometry.
 MODELS = ("NCF", "SNLI", "SqueezeNet 1.1")
+
+
+def _session(**overrides):
+    return SimulationSession(config=SessionConfig(**{**QUICK, **overrides}))
+
+
+def _stored_payload(session, key):
+    """The serialized result the session's store holds for ``key``."""
+    with contextlib.closing(sqlite3.connect(session.disk.path)) as conn:
+        (payload,) = conn.execute(
+            "SELECT payload FROM results WHERE key = ?", (key,)
+        ).fetchone()
+    return payload
 
 
 def _counters_sans_memory(counters) -> dict:
@@ -92,12 +107,12 @@ class TestEngineValidation:
 
     def test_session_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
-            SimulationSession(memory_engine="bogus")
+            SimulationSession(config=SessionConfig(memory_engine="bogus"))
 
     def test_engines_get_distinct_canonical_keys(self):
         request = SimRequest.make("NCF")
-        roof = SimulationSession(**QUICK)
-        hier = SimulationSession(**QUICK, memory_engine="hierarchy")
+        roof = _session()
+        hier = _session(memory_engine="hierarchy")
         assert roof.key_of(request) != hier.key_of(request)
 
     def test_baseline_keys_shared_across_engines(self):
@@ -106,32 +121,27 @@ class TestEngineValidation:
         from repro.core.config import baseline_paper_config
 
         request = SimRequest.make("NCF", baseline_paper_config())
-        roof = SimulationSession(**QUICK)
-        hier = SimulationSession(**QUICK, memory_engine="hierarchy")
+        roof = _session()
+        hier = _session(memory_engine="hierarchy")
         assert roof.key_of(request) == hier.key_of(request)
 
 
 class TestSessionRoundTrip:
     @pytest.mark.parametrize("engine", ("roofline", "hierarchy"))
     def test_cached_results_round_trip_byte_identically(self, tmp_path, engine):
-        session = SimulationSession(
-            cache_dir=tmp_path, memory_engine=engine, **QUICK
-        )
+        session = _session(cache_dir=tmp_path, memory_engine=engine)
         result = session.simulate("NCF")
         key = session.key_of(SimRequest.make("NCF"))
-        path = session.disk.path_for(key)
-        raw = path.read_bytes()
+        raw = _stored_payload(session, key)
 
-        fresh = SimulationSession(
-            cache_dir=tmp_path, memory_engine=engine, **QUICK
-        )
+        fresh = _session(cache_dir=tmp_path, memory_engine=engine)
         again = fresh.simulate("NCF")
         assert fresh.stats.disk_hits == 1
         assert fresh.stats.simulations == 0
         assert again.to_dict() == result.to_dict()
         # Re-persisting the loaded result rewrites the same bytes.
         fresh.disk.store(key, again)
-        assert path.read_bytes() == raw
+        assert _stored_payload(fresh, key) == raw
 
     @pytest.mark.parametrize("engine", ("roofline", "hierarchy"))
     def test_workload_result_json_round_trip_exact(self, engine):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from strip_oracles import serial_phase, serial_workload, unstacked_workload
 
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.config import PEConfig, TileConfig
@@ -365,12 +366,12 @@ class TestLoopFreeStripSchedule:
             _assert_schedule_matches_serial(config, a, b)
 
 
-def _cold(simulator, workloads):
-    """``simulate_workload`` from an empty tile-outcome memo, so each leg
-    of a comparison runs the tile engine itself instead of reusing the
-    other leg's outcomes."""
+def _cold(run, *args):
+    """``run(*args)`` from an empty tile-outcome memo, so each leg of a
+    comparison runs the tile engine itself instead of reusing the other
+    leg's outcomes."""
     DEFAULT_TILE_MEMO.clear()
-    return simulator.simulate_workload(workloads)
+    return run(*args)
 
 
 class TestPhaseStacking:
@@ -385,20 +386,16 @@ class TestPhaseStacking:
 
     def test_stacked_equals_unstacked(self):
         workloads = self._workloads()
-        stacked = _cold(AcceleratorSimulator(), workloads)
-        unstacked = _cold(
-            AcceleratorSimulator(phase_stacking=False), workloads
-        )
+        sim = AcceleratorSimulator()
+        stacked = _cold(sim.simulate_workload, workloads)
+        unstacked = _cold(unstacked_workload, sim, workloads)
         assert stacked.to_dict() == unstacked.to_dict()
 
     def test_stacked_equals_serial_reference(self):
         workloads = self._workloads()
-        stacked = _cold(
-            AcceleratorSimulator(sample_strips=2, sample_steps=8), workloads
-        )
-        serial = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8, strip_engine="serial"
-        ).simulate_workload(workloads)
+        sim = AcceleratorSimulator(sample_strips=2, sample_steps=8)
+        stacked = _cold(sim.simulate_workload, workloads)
+        serial = serial_workload(sim, workloads)
         assert stacked.to_dict() == serial.to_dict()
 
     def test_mixed_tile_configs_group_correctly(self):
@@ -409,10 +406,9 @@ class TestPhaseStacking:
         layers = [layer.name for layer in get_model("NCF").layers]
         profile = {layers[0]: 9, layers[1]: 15}
         workloads = self._workloads(acc_profile=profile)
-        stacked = _cold(AcceleratorSimulator(), workloads)
-        unstacked = _cold(
-            AcceleratorSimulator(phase_stacking=False), workloads
-        )
+        sim = AcceleratorSimulator()
+        stacked = _cold(sim.simulate_workload, workloads)
+        unstacked = _cold(unstacked_workload, sim, workloads)
         assert stacked.to_dict() == unstacked.to_dict()
 
     def test_chunking_boundary(self):
@@ -422,16 +418,15 @@ class TestPhaseStacking:
         small._MAX_STACK_ROWS = 1  # one phase per call, degenerate cap
         large = AcceleratorSimulator()
         assert (
-            _cold(small, workloads).to_dict()
-            == _cold(large, workloads).to_dict()
+            _cold(small.simulate_workload, workloads).to_dict()
+            == _cold(large.simulate_workload, workloads).to_dict()
         )
 
     def test_pragmatic_stacking(self):
         workloads = self._workloads()
-        stacked = _cold(PragmaticFPAccelerator(), workloads)
-        unstacked = _cold(
-            PragmaticFPAccelerator(phase_stacking=False), workloads
-        )
+        sim = PragmaticFPAccelerator()
+        stacked = _cold(sim.simulate_workload, workloads)
+        unstacked = _cold(unstacked_workload, sim, workloads)
         assert stacked.to_dict() == unstacked.to_dict()
 
 
@@ -456,51 +451,41 @@ def _phase_workload(seed, sparsity=0.4, size=2048):
 
 
 class TestAcceleratorEngines:
-    """The two strip engines share one operand draw -> identical phases."""
+    """The batched engine and the per-strip reference share one operand
+    draw -> identical phases."""
 
     @pytest.fixture(autouse=True)
     def _cold_memo(self):
         # The batched leg must run the engine, not reuse an outcome an
-        # earlier test memoized (the serial leg is never memoized).
+        # earlier test memoized (the reference never consults the memo).
         DEFAULT_TILE_MEMO.clear()
 
     @pytest.mark.parametrize("cls", [AcceleratorSimulator, PragmaticFPAccelerator])
     def test_engines_bit_identical(self, cls):
         workload = _phase_workload(3)
-        batched = cls(strip_engine="batched").simulate_phase(workload)
-        serial = cls(strip_engine="serial").simulate_phase(workload)
+        batched = cls().simulate_phase(workload)
+        serial = serial_phase(cls(), workload)
         assert batched.to_dict() == serial.to_dict()
 
     def test_engines_identical_on_empty_streams(self):
         workload = _phase_workload(4)
         workload.values_a = np.array([])
         workload.values_b = np.array([])
-        batched = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8, strip_engine="batched"
-        ).simulate_phase(workload)
-        serial = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8, strip_engine="serial"
-        ).simulate_phase(workload)
+        sim = AcceleratorSimulator(sample_strips=2, sample_steps=8)
+        batched = sim.simulate_phase(workload)
+        serial = serial_phase(sim, workload)
         assert batched.to_dict() == serial.to_dict()
 
     def test_engines_identical_on_zero_streams(self):
         workload = _phase_workload(5)
         workload.values_a = np.zeros(512)
         workload.values_b = np.zeros(512)
-        batched = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8, strip_engine="batched"
-        ).simulate_phase(workload)
-        serial = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8, strip_engine="serial"
-        ).simulate_phase(workload)
+        sim = AcceleratorSimulator(sample_strips=2, sample_steps=8)
+        batched = sim.simulate_phase(workload)
+        serial = serial_phase(sim, workload)
         assert batched.to_dict() == serial.to_dict()
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            AcceleratorSimulator(strip_engine="gpu")
-
-    @pytest.mark.parametrize("engine", ["batched", "serial"])
-    def test_empty_phase_list_rejected(self, engine):
-        sim = AcceleratorSimulator(strip_engine=engine)
+    @pytest.mark.parametrize("cls", [AcceleratorSimulator, PragmaticFPAccelerator])
+    def test_empty_phase_list_rejected(self, cls):
         with pytest.raises(ValueError, match="empty workload list"):
-            sim.simulate_workload([])
+            cls().simulate_workload([])

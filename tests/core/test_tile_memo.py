@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from strip_oracles import serial_workload, unstacked_workload
 
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.config import TileConfig
@@ -100,14 +101,14 @@ class TestExactReuse:
         hits = DEFAULT_TILE_MEMO.stats.hits
         warm = batched.simulate_workload(workloads)
         assert DEFAULT_TILE_MEMO.stats.hits == hits + len(workloads)
-        serial = AcceleratorSimulator(strip_engine="serial", **QUICK)
-        assert _dump(warm) == _dump(serial.simulate_workload(workloads))
+        serial = serial_workload(AcceleratorSimulator(**QUICK), workloads)
+        assert _dump(warm) == _dump(serial)
 
     def test_serial_engine_is_not_memoized(self, strip_calls):
         workloads = _workloads("NCF")[:2]
-        serial = AcceleratorSimulator(strip_engine="serial", **QUICK)
-        serial.simulate_workload(workloads)
-        serial.simulate_workload(workloads)
+        serial = AcceleratorSimulator(**QUICK)
+        serial_workload(serial, workloads)
+        serial_workload(serial, workloads)
         assert len(DEFAULT_TILE_MEMO) == 0
         assert DEFAULT_TILE_MEMO.stats.hits == 0
         assert strip_calls == []
@@ -118,9 +119,9 @@ class TestExactReuse:
         workloads = _workloads("NCF")
         stacked = AcceleratorSimulator(**QUICK).simulate_workload(workloads)
         calls = len(strip_calls)
-        unstacked = AcceleratorSimulator(
-            phase_stacking=False, **QUICK
-        ).simulate_workload(workloads)
+        unstacked = unstacked_workload(
+            AcceleratorSimulator(**QUICK), workloads
+        )
         assert len(strip_calls) == calls
         assert _dump(unstacked) == _dump(stacked)
 

@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
+import asyncio
 import json
 import socket
 
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
+from repro.harness.runner import SessionConfig, SimRequest, SimulationSession
+from repro.service.daemon import ServiceDaemon
+from repro.service.store import ResultStore
 
 
 class TestCli:
@@ -68,9 +72,53 @@ class TestCli:
         args = ["run", "fig13", "--models", "NCF", "--cache", str(cache)]
         assert main(args + ["--jobs", "2"]) == 0
         cold = capsys.readouterr().out
-        assert sorted(cache.glob("*.json"))  # results persisted
+        assert (cache / "results.sqlite").exists()  # results persisted
         assert main(args) == 0  # warm, serial: same artifact
         assert capsys.readouterr().out == cold
+
+    def test_serve_answers_from_the_store_run_filled(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        args = ["run", "fig13", "--models", "NCF", "--cache", str(cache)]
+        assert main(args) == 0
+        capsys.readouterr()
+        with ResultStore(cache) as store:
+            daemon = ServiceDaemon(SessionConfig(), store, use_processes=False)
+            answer = asyncio.run(daemon.resolve(SimRequest.make("NCF")))
+        assert answer["status"] == "hit"
+        assert answer["kind"] == "workload"
+        assert daemon.stats.simulations == 0
+        local = SimulationSession(config=SessionConfig()).simulate("NCF")
+        assert answer["result"] == local.to_dict()
+
+    @pytest.mark.parametrize("dirname", ["cache", "cache.sqlite"])
+    def test_serve_cache_opens_the_run_store_file(
+        self, tmp_path, monkeypatch, capsys, dirname
+    ):
+        opened = []
+
+        def fake_run_daemon(config, store, host, port):
+            opened.append(store.path)
+            return 0
+
+        monkeypatch.setattr(
+            "repro.service.daemon.run_daemon", fake_run_daemon
+        )
+        cache = tmp_path / dirname
+        args = ["run", "fig13", "--models", "NCF", "--cache", str(cache)]
+        assert main(args) == 0
+        assert (cache / "results.sqlite").is_file()
+        assert main(["serve", "--cache", str(cache)]) == 0
+        assert opened == [cache / "results.sqlite"]
+
+    def test_cache_with_unusable_store_exits_2(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "results.sqlite").write_text("not a database")
+        code = main(["run", "fig13", "--models", "NCF", "--cache", str(cache)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not a usable result store" in err
+        assert "Traceback" not in err
 
     def test_every_registered_experiment_is_callable(self):
         for func in EXPERIMENTS.values():

@@ -1,6 +1,8 @@
-"""Tests for the cached, parallel simulation session and result cache."""
+"""Tests for the cached, parallel simulation session and its result store."""
 
+import contextlib
 import json
+import sqlite3
 
 import numpy as np
 import pytest
@@ -9,9 +11,13 @@ from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
 from repro.core.config import baseline_paper_config, fpraker_paper_config
 from repro.core.workload import PhaseWorkload
 from repro.fp.bfloat16 import bf16_quantize
-from repro.harness.cache import ResultCache
 from repro.harness.experiments import run_fig11_speedup, run_fig14_phases
-from repro.harness.runner import SimRequest, SimulationSession, canonical_key
+from repro.harness.runner import (
+    SessionConfig,
+    SimRequest,
+    SimulationSession,
+    canonical_key,
+)
 
 # Reduced sampling keeps each cold simulation fast; every test builds
 # its sessions with the same parameters so results are comparable.
@@ -21,7 +27,7 @@ MODELS = ("NCF", "SNLI")
 
 
 def _quick_session(**overrides):
-    return SimulationSession(**{**QUICK, **overrides})
+    return SimulationSession(config=SessionConfig(**{**QUICK, **overrides}))
 
 
 def _simulated_result(seed=0):
@@ -115,20 +121,23 @@ class TestResultSerialization:
         assert back.phases[0].serial_tensor == result.phases[0].serial_tensor
 
     def test_result_cache_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        store = _quick_session(cache_dir=tmp_path).disk
+        assert store.path == tmp_path / "results.sqlite"
         result = _simulated_result()
-        cache.store("key1", result)
-        loaded = cache.load("key1")
+        store.store("key1", result)
+        loaded = store.load("key1")
         assert loaded is not None
-        assert loaded.cycles == result.cycles
-        assert cache.load("other-key") is None
+        assert loaded.to_dict() == result.to_dict()
+        assert store.load("other-key") is None
 
     def test_result_cache_rejects_corruption(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = _simulated_result()
-        path = cache.store("key1", result)
-        path.write_text("{not json")
-        assert cache.load("key1") is None
+        store = _quick_session(cache_dir=tmp_path).disk
+        store.store("key1", _simulated_result())
+        with contextlib.closing(sqlite3.connect(store.path)) as conn:
+            conn.execute("UPDATE results SET payload = '{not json'")
+            conn.commit()
+        assert store.load("key1") is None
+        assert not store.contains("key1")  # the bad row was deleted
 
 
 class TestSessionMemoization:
@@ -168,12 +177,36 @@ class TestSessionMemoization:
         assert warm.cycles == cold.cycles
         assert warm.energy_total().total == cold.energy_total().total
 
+    def test_close_releases_the_store(self, tmp_path):
+        _quick_session().close()  # no store: nothing to close
+        session = _quick_session(cache_dir=tmp_path)
+        session.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            session.disk.load("any")
+
+    def test_per_file_json_entries_are_ignored(self, tmp_path):
+        """A --cache directory of one-JSON-file-per-key entries (the
+        layout older builds wrote) is not read: the session simulates
+        and persists into results.sqlite beside them."""
+        s1 = _quick_session()
+        key = s1.key_of(SimRequest.make("NCF"))
+        entry = {
+            "version": 3,
+            "key": key,
+            "kind": "workload",
+            "result": s1.simulate("NCF").to_dict(),
+        }
+        (tmp_path / "0123abcd.json").write_text(json.dumps(entry))
+        s2 = _quick_session(cache_dir=tmp_path)
+        s2.simulate("NCF")
+        assert s2.stats.disk_hits == 0
+        assert s2.stats.simulations == 1
+        assert s2.disk.contains(key)
+
     def test_disk_cache_respects_sampling_parameters(self, tmp_path):
         s1 = _quick_session(cache_dir=tmp_path)
         s1.simulate("NCF")
-        other = SimulationSession(
-            cache_dir=tmp_path, sample_strips=3, sample_steps=8
-        )
+        other = _quick_session(cache_dir=tmp_path, sample_strips=3)
         other.simulate("NCF")
         assert other.stats.disk_hits == 0
         assert other.stats.simulations == 1

@@ -1,4 +1,4 @@
-"""Tests for SessionConfig, the legacy-kwarg shim, and the api facade."""
+"""Tests for SessionConfig, the session constructor, and the api facade."""
 
 import json
 
@@ -149,20 +149,12 @@ class TestSessionConfigWireForm:
             SessionConfig.from_dict({"kernel_backend": "numpy"})
 
 
-class TestConstructorShim:
-    def test_config_constructor_does_not_warn(self, recwarn):
-        session = SimulationSession(config=QUICK)
-        assert session.config == QUICK
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
+class TestConstructor:
+    def test_config_constructor(self):
+        assert SimulationSession(config=QUICK).config is QUICK
 
-    def test_bare_constructor_does_not_warn(self, recwarn):
-        session = SimulationSession()
-        assert session.config == SessionConfig()
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
+    def test_bare_constructor_uses_defaults(self):
+        assert SimulationSession().config == SessionConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -176,27 +168,13 @@ class TestConstructorShim:
             {"workload_cache": False},
         ],
     )
-    def test_each_legacy_kwarg_warns_and_still_works(self, kwargs):
-        with pytest.warns(DeprecationWarning, match="SessionConfig"):
-            session = SimulationSession(**kwargs)
-        expected = SessionConfig(**kwargs)
-        assert session.config == expected
+    def test_loose_keyword_is_a_type_error(self, kwargs):
+        with pytest.raises(TypeError):
+            SimulationSession(**kwargs)
 
-    def test_legacy_positional_jobs_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            session = SimulationSession(4)
-        assert session.config.jobs == 4
-
-    def test_config_plus_legacy_kwarg_is_an_error(self):
-        with pytest.raises(TypeError, match="either"):
-            SimulationSession(config=QUICK, jobs=2)
-
-    def test_legacy_attributes_still_exposed(self):
-        session = SimulationSession(config=QUICK)
-        assert session.sample_strips == 2
-        assert session.sample_steps == 8
-        assert session.jobs == 1
-        assert session.memory_engine == "roofline"
+    def test_positional_non_config_is_a_type_error(self):
+        with pytest.raises(TypeError, match="SessionConfig"):
+            SimulationSession(4)
 
 
 class TestApiFacade:

@@ -12,14 +12,13 @@ import pytest
 
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.baseline import BaselineAccelerator
-from repro.core.config import fpraker_paper_config
 from repro.core.pragmatic import PragmaticFPAccelerator
 from repro.harness.experiments import (
     run_fig11_speedup,
     run_fig13_skipped,
     run_fig14_phases,
 )
-from repro.harness.runner import SimRequest, SimulationSession
+from repro.harness.runner import SessionConfig, SimRequest, SimulationSession
 from repro.traces.workloads import build_workloads
 
 
@@ -130,7 +129,9 @@ class TestSessionedExperiments:
     MODELS = ("NCF", "SNLI")
 
     def test_three_figures_share_unique_simulations(self):
-        session = SimulationSession(sample_strips=2, sample_steps=8)
+        session = SimulationSession(
+            config=SessionConfig(sample_strips=2, sample_steps=8)
+        )
         run_fig11_speedup(models=self.MODELS, session=session)
         # fig11 needs 4 configs per model (baseline, zero, zero+bdc, full).
         assert session.stats.simulations == len(self.MODELS) * 4
@@ -142,8 +143,12 @@ class TestSessionedExperiments:
         assert session.stats.hits > 0
 
     def test_parallel_session_bit_identical(self):
-        serial = SimulationSession(sample_strips=2, sample_steps=8)
-        parallel = SimulationSession(jobs=4, sample_strips=2, sample_steps=8)
+        serial = SimulationSession(
+            config=SessionConfig(sample_strips=2, sample_steps=8)
+        )
+        parallel = SimulationSession(
+            config=SessionConfig(jobs=4, sample_strips=2, sample_steps=8)
+        )
         tables_serial = [
             run_fig11_speedup(models=self.MODELS, session=serial),
             run_fig14_phases(models=self.MODELS, session=serial),
@@ -166,7 +171,9 @@ class TestSessionedExperiments:
 
     def test_sessioned_figures_match_direct_simulation(self, quick_sims):
         """The session front end reproduces ad-hoc simulator results."""
-        session = SimulationSession(sample_strips=2, sample_steps=16)
+        session = SimulationSession(
+            config=SessionConfig(sample_strips=2, sample_steps=16)
+        )
         table = run_fig14_phases(models=("NCF",), session=session)
         fpr, base = quick_sims
         workloads = build_workloads("NCF", progress=0.5)

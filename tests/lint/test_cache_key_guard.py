@@ -81,3 +81,19 @@ def test_deleting_spec_key_fails_lint(victim, tmp_path):
     report = lint_paths([copy], select=["RPR002"])
     assert report.findings, f"deleting {victim!r} went undetected"
     assert any(f"'{victim}'" in f.message for f in report.findings)
+
+
+def test_unkeyed_session_config_field_fails_lint(tmp_path):
+    """A new SessionConfig knob must reach the key, or the lint fails."""
+    source = RUNNER.read_text()
+    anchor = "    workload_cache: bool | str = True\n"
+    assert anchor in source
+    copy = tmp_path / "runner.py"
+    copy.write_text(
+        source.replace(anchor, anchor + "    dither: int = 0\n", 1)
+    )
+    report = lint_paths([copy], select=["RPR002"])
+    assert any(
+        "SessionConfig field 'dither'" in finding.message
+        for finding in report.findings
+    )

@@ -1,12 +1,30 @@
-"""Scale-out requests through the session: keys, memo, and disk cache."""
+"""Scale-out requests through the session: keys, memo, and result store."""
 
-import pytest
+import contextlib
+import sqlite3
 
-from repro.harness.cache import CACHE_VERSION, ResultCache
-from repro.harness.runner import SimRequest, SimulationSession, canonical_key
+from repro.harness.runner import (
+    SessionConfig,
+    SimRequest,
+    SimulationSession,
+    canonical_key,
+)
 from repro.scale.scaleout import ScaleOutResult
+from repro.service.store import CACHE_VERSION
 
 FAST = dict(sample_strips=2, sample_steps=8)
+
+
+def _session(**overrides):
+    return SimulationSession(config=SessionConfig(**{**FAST, **overrides}))
+
+
+def _row(session, key):
+    """``(version, kind)`` of the key's row in the session's store."""
+    with contextlib.closing(sqlite3.connect(session.disk.path)) as conn:
+        return conn.execute(
+            "SELECT version, kind FROM results WHERE key = ?", (key,)
+        ).fetchone()
 
 
 def _key(request):
@@ -33,7 +51,7 @@ class TestCanonicalKeys:
 
 class TestSessionScaleout:
     def test_n1_shares_memo_with_plain_simulate(self):
-        session = SimulationSession(**FAST)
+        session = _session()
         plain = session.simulate("NCF")
         assert session.stats.simulations == 1
         anchor = session.scaleout("NCF", 1, "pipeline")
@@ -41,13 +59,13 @@ class TestSessionScaleout:
         assert anchor is plain
 
     def test_multi_node_returns_scaleout_result(self):
-        session = SimulationSession(**FAST)
+        session = _session()
         result = session.scaleout("NCF", 2, "data")
         assert isinstance(result, ScaleOutResult)
         assert result.nodes == 2 and result.scheme == "data"
 
     def test_memoized_per_scheme(self):
-        session = SimulationSession(**FAST)
+        session = _session()
         first = session.scaleout("NCF", 2, "data")
         again = session.scaleout("NCF", 2, "data")
         other = session.scaleout("NCF", 2, "model")
@@ -56,7 +74,7 @@ class TestSessionScaleout:
         assert session.stats.simulations == 2
 
     def test_prefetch_covers_scaleout_requests(self):
-        session = SimulationSession(**FAST)
+        session = _session()
         session.prefetch(
             [
                 SimRequest.make("NCF", nodes=n, partition="data")
@@ -70,9 +88,9 @@ class TestSessionScaleout:
 
 class TestDiskCache:
     def test_scaleout_round_trip(self, tmp_path):
-        session = SimulationSession(cache_dir=tmp_path, **FAST)
+        session = _session(cache_dir=tmp_path)
         cold = session.scaleout("NCF", 4, "pipeline")
-        warm_session = SimulationSession(cache_dir=tmp_path, **FAST)
+        warm_session = _session(cache_dir=tmp_path)
         warm = warm_session.scaleout("NCF", 4, "pipeline")
         assert warm_session.stats.disk_hits == 1
         assert warm_session.stats.simulations == 0
@@ -80,37 +98,26 @@ class TestDiskCache:
         assert warm.to_dict() == cold.to_dict()
 
     def test_kind_tag_selects_deserializer(self, tmp_path):
-        import json
-
-        cache = ResultCache(tmp_path)
-        session = SimulationSession(cache_dir=tmp_path, **FAST)
+        session = _session(cache_dir=tmp_path)
         request = SimRequest.make("NCF", nodes=2, partition="data")
         session.prefetch([request])
         key = session.key_of(request)
-        payload = json.loads(cache.path_for(key).read_text())
-        assert payload["version"] == CACHE_VERSION
-        assert payload["kind"] == "scaleout"
-        loaded = cache.load(key)
+        assert _row(session, key) == (CACHE_VERSION, "scaleout")
+        loaded = session.disk.load(key)
         assert isinstance(loaded, ScaleOutResult)
 
     def test_workload_results_tagged_workload(self, tmp_path):
-        import json
-
-        cache = ResultCache(tmp_path)
-        session = SimulationSession(cache_dir=tmp_path, **FAST)
+        session = _session(cache_dir=tmp_path)
         request = SimRequest.make("NCF")
         session.prefetch([request])
-        payload = json.loads(
-            cache.path_for(session.key_of(request)).read_text()
-        )
-        assert payload["kind"] == "workload"
+        assert _row(session, session.key_of(request))[1] == "workload"
 
     def test_version_mismatch_is_miss(self, tmp_path, monkeypatch):
-        session = SimulationSession(cache_dir=tmp_path, **FAST)
+        session = _session(cache_dir=tmp_path)
         request = SimRequest.make("NCF", nodes=2, partition="data")
         session.prefetch([request])
-        monkeypatch.setattr("repro.harness.cache.CACHE_VERSION", 999)
-        assert ResultCache(tmp_path).load(session.key_of(request)) is None
+        monkeypatch.setattr("repro.service.store.CACHE_VERSION", 999)
+        assert session.disk.load(session.key_of(request)) is None
 
 
 class TestParallelFanOut:
@@ -119,9 +126,9 @@ class TestParallelFanOut:
             SimRequest.make("NCF", nodes=n, partition=p)
             for n, p in ((2, "data"), (2, "model"), (4, "pipeline"))
         ]
-        serial = SimulationSession(**FAST)
+        serial = _session()
         serial.prefetch(requests)
-        parallel = SimulationSession(jobs=2, **FAST)
+        parallel = _session(jobs=2)
         parallel.prefetch(requests)
         for request in requests:
             a = serial._memo[serial.key_of(request)]

@@ -10,8 +10,12 @@ import pytest
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.workload import PhaseWorkload
 from repro.fp.bfloat16 import bf16_quantize
-from repro.harness.cache import CACHE_VERSION, ResultCache
-from repro.service.store import STORE_FILENAME, ResultStore, StoreError
+from repro.service.store import (
+    CACHE_VERSION,
+    STORE_FILENAME,
+    ResultStore,
+    StoreError,
+)
 
 QUICK = dict(sample_strips=2, sample_steps=8)
 
@@ -33,6 +37,29 @@ def _result(seed=0):
 def _raw(store_path):
     """A raw sqlite connection onto the store file (for fault injection)."""
     return sqlite3.connect(str(store_path))
+
+
+@pytest.fixture()
+def opened_connections(monkeypatch):
+    """Every connection ``sqlite3.connect`` opens from here on."""
+    opened = []
+    real_connect = sqlite3.connect
+
+    def tracking(*args, **kwargs):
+        conn = real_connect(*args, **kwargs)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", tracking)
+    return opened
+
+
+def _is_closed(conn):
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return True
+    return False
 
 
 class TestPaths:
@@ -147,42 +174,6 @@ class TestHealing:
             assert healed.load("bad") is None
 
 
-class TestImportLegacy:
-    def test_migration_is_byte_identical(self, tmp_path):
-        legacy = ResultCache(tmp_path / "cache")
-        results = {"k1": _result(0), "k2": _result(1)}
-        for key, result in results.items():
-            legacy.store(key, result)
-        with ResultStore(tmp_path / "store") as store:
-            assert store.import_legacy(tmp_path / "cache") == 2
-            for key, result in results.items():
-                assert json.dumps(store.load(key).to_dict()) == json.dumps(
-                    result.to_dict()
-                )
-
-    def test_stale_legacy_entries_are_skipped(self, tmp_path):
-        legacy = ResultCache(tmp_path / "cache")
-        legacy.store("k1", _result())
-        path = legacy.path_for("k1")
-        payload = json.loads(path.read_text())
-        payload["version"] = CACHE_VERSION - 1
-        path.write_text(json.dumps(payload))
-        with ResultStore(tmp_path / "store") as store:
-            assert store.import_legacy(tmp_path / "cache") == 0
-
-    def test_unreadable_entries_are_skipped(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        (cache_dir / "junk.json").write_text("{broken")
-        (cache_dir / "alien.json").write_text('["not a cache entry"]')
-        with ResultStore(tmp_path / "store") as store:
-            assert store.import_legacy(cache_dir) == 0
-
-    def test_missing_directory_imports_nothing(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            assert store.import_legacy(tmp_path / "nowhere") == 0
-
-
 class TestConcurrency:
     def test_writer_and_readers_share_one_instance(self, tmp_path):
         result = _result()
@@ -242,3 +233,29 @@ class TestSchemaGuard:
         bogus.write_text("not a database")
         with pytest.raises(StoreError, match="not a usable result store"):
             ResultStore(bogus)
+
+    def test_layout_refusal_closes_its_connection(
+        self, tmp_path, opened_connections
+    ):
+        ResultStore(tmp_path).close()
+        conn = _raw(tmp_path / STORE_FILENAME)
+        conn.execute(
+            "UPDATE meta SET value = '99' WHERE name = 'store_schema'"
+        )
+        conn.commit()
+        conn.close()
+        opened_connections.clear()
+        with pytest.raises(StoreError, match="schema 99"):
+            ResultStore(tmp_path)
+        assert len(opened_connections) == 1
+        assert _is_closed(opened_connections[0])
+
+    def test_unusable_file_refusal_closes_its_connection(
+        self, tmp_path, opened_connections
+    ):
+        bogus = tmp_path / "notdb.sqlite"
+        bogus.write_text("not a database")
+        with pytest.raises(StoreError, match="not a usable result store"):
+            ResultStore(bogus)
+        assert len(opened_connections) == 1
+        assert _is_closed(opened_connections[0])
